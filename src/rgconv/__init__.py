@@ -6,7 +6,6 @@ from .data import (
     Dataset,
     VoxelScene,
     downsample_mean,
-    gen_flow,
     gen_flow_dataset,
     gen_perovskite,
     gen_shape2d,
@@ -48,7 +47,6 @@ from .layers import (
     RelaxedGConvLayer,
     SeparableRelaxedGConvLayer,
     group_pool,
-    init_layer,
 )
 from .models import (
     GroupPool,

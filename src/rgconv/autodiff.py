@@ -41,8 +41,6 @@ __all__ = [
     "flip",
     "sum_",
     "mean_",
-    "pointwise",
-    "reduce",
     "loss",
     "finite_diff_grad",
 ]
@@ -358,23 +356,6 @@ def mean_(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gk, shape) / count,)
 
     return record("mean", a.data.mean(axis=axes, keepdims=keepdims), (a,), pull)
-
-
-_POINTWISE = {"add": add, "sub": sub, "mul": mul, "neg": neg, "relu": relu, "abs": absval}
-_REDUCE = {"sum": sum_, "mean": mean_}
-
-
-def pointwise(op: str, *args: Tensor) -> Tensor:
-    """Dispatch an elementwise op by name."""
-    if op not in _POINTWISE:
-        raise ContractError(f"unknown pointwise op {op!r}")
-    return _POINTWISE[op](*args)
-
-
-def reduce(op: str, a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    if op not in _REDUCE:
-        raise ContractError(f"unknown reduction {op!r}")
-    return _REDUCE[op](a, axes=axes, keepdims=keepdims)
 
 
 def loss(kind: str, pred: Tensor, target: Tensor) -> Tensor:

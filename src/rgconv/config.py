@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -27,6 +29,17 @@ ALL_TASKS = DISCOVERY_TASKS + SUPERRES_TASKS
 _LAYER_KINDS = ("conv", "equiv", "relaxed_equiv")
 _OPTIMIZERS = ("sgd", "adam")
 _PRECISIONS = ("f64", "f32")
+
+
+# field annotation -> (what a value must be, check); bool is never accepted
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral)),
+    "float": (
+        "a finite number",
+        lambda v: isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max,
+    ),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
 
 
 @dataclass
@@ -75,6 +88,11 @@ class ExperimentConfig:
     match_params: int = 0
 
     def validate(self) -> "ExperimentConfig":
+        for f in dataclasses.fields(self):
+            what, ok = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not ok(value):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.task not in ALL_TASKS:
             raise ConfigError(f"unknown task {self.task!r}; choose from {ALL_TASKS}")
         if self.layer_kind not in _LAYER_KINDS:
@@ -127,7 +145,7 @@ class ExperimentConfig:
         with open(path) as fh:
             try:
                 d = json.load(fh)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # malformed JSON, or an integer too long to parse
                 raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(d, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

@@ -34,7 +34,6 @@ __all__ = [
     "gen_perovskite",
     "transform_scene",
     "rasterize",
-    "gen_flow",
     "gen_flow_dataset",
     "downsample_mean",
     "spectral_divergence_max",
@@ -307,18 +306,6 @@ def _window(frames: list[np.ndarray], i: int, steps: int) -> tuple[np.ndarray, n
     return x, frames[i + steps].copy()
 
 
-def gen_flow(
-    seed: int, size=(32, 32, 32), steps: int = 3, anisotropy: str = "isotropic"
-) -> tuple[np.ndarray, np.ndarray]:
-    """One sample: ``steps`` consecutive velocity fields block-averaged 4x as
-    input channels [3*steps, D/4, D/4, D/4]; the next field at full
-    resolution [3, D, D, D] as the target.
-    """
-    D = _check_flow_args(size, anisotropy)
-    frames = _trajectory(seed, D, steps + 1, anisotropy)
-    return _window(frames, 0, steps)
-
-
 def gen_flow_dataset(
     seed: int,
     n_samples: int,
@@ -326,7 +313,11 @@ def gen_flow_dataset(
     steps: int = 3,
     anisotropy: str = "isotropic",
 ) -> Dataset:
-    """Sliding windows over one trajectory, time-ordered."""
+    """Sliding windows over one trajectory, time-ordered. Sample ``i`` holds
+    ``steps`` consecutive velocity fields block-averaged 4x as input channels
+    ``[3*steps, D/4, D/4, D/4]`` and the next field at full resolution
+    ``[3, D, D, D]`` as the target.
+    """
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     D = _check_flow_args(size, anisotropy)

@@ -18,7 +18,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import csv
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -44,8 +43,6 @@ __all__ = [
     "stabilizer_of_grid",
     "closure",
     "character_table",
-    "dump_group_csv",
-    "dump_cache_csv",
 ]
 
 
@@ -565,34 +562,3 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         raise ConsistencyError("class sizes do not match class assignment")
     group._char_table = table
     return table
-
-
-# ---------------------------------------------------------------------------
-# debug dumps
-
-
-def dump_group_csv(group: FiniteGroup, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        d = group.dim
-        writer.writerow(
-            ["id", "name", "inverse"] + [f"m{r}{c}" for r in range(d) for c in range(d)]
-        )
-        for e in group.elements:
-            writer.writerow(
-                [e.id, e.name, int(group.inverse[e.id])] + list(e.matrix.ravel())
-            )
-
-
-def dump_cache_csv(cache: GridActionCache, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "pi", "sigma"])
-        for g in range(cache.group.order):
-            writer.writerow(
-                [
-                    g,
-                    " ".join(map(str, cache.pi[g])),
-                    " ".join(map(str, cache.sigma[g])),
-                ]
-            )

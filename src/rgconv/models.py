@@ -42,8 +42,6 @@ _PARAM_ATTRS = ("kernels", "kernel", "psi_o", "psi_t", "w")
 class GroupPool:
     """Mean over the group axis, as a module."""
 
-    relaxed = False
-
     def params(self) -> list[Tensor]:
         return []
 
@@ -55,8 +53,6 @@ class GroupPool:
 
 class ResidualBlock:
     """x -> relu(x + conv2(relu(conv1(x)))); channel count is preserved."""
-
-    relaxed = False
 
     def __init__(self, conv1, conv2):
         self.conv1 = conv1

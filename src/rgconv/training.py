@@ -197,7 +197,7 @@ def _train_superres(config: ExperimentConfig, model: Network) -> TrainStats:
     t0 = time.perf_counter()
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_set))
-        batch_losses = []
+        loss_sum = 0.0  # batch means weighted by batch size
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
             xb, yb = _batch(train_set, idx, dtype)
@@ -205,8 +205,8 @@ def _train_superres(config: ExperimentConfig, model: Network) -> TrainStats:
             value = loss("l1", model(xb), yb)
             backward(value, params=params)
             optimizer_step(opt, params)
-            batch_losses.append(float(value.data))
-        stats.train_losses.append(_check_finite(float(np.mean(batch_losses)), epoch))
+            loss_sum += float(value.data) * len(idx)
+        stats.train_losses.append(_check_finite(loss_sum / len(order), epoch))
         if val_set:
             stats.val_losses.append(
                 _check_finite(eval_l1(predict, val_set, dtype), epoch)

@@ -69,11 +69,37 @@ def test_train_malformed_json_is_usage_error(tmp_path):
     p = os.path.join(str(tmp_path), "bad.json")
     open(p, "w").write("{broken")
     assert cli(["train", "--config", p]) == 1
+    open(p, "w").write('{"epochs": 1%s}' % ("0" * 5000))  # beyond int parsing
+    assert cli(["train", "--config", p]) == 1
 
 
 def test_train_unknown_key_is_usage_error(tmp_path):
     p = write_cfg(tmp_path, task="square_to_rectangle", warmup=3)
     assert cli(["train", "--config", p]) == 1
+
+
+@pytest.mark.parametrize("field,literal", [
+    ("epochs", '"5"'),
+    ("epochs", "2.5"),
+    ("epochs", "true"),
+    ("channels", '"8"'),
+    ("banks", "null"),
+    ("lr", "1e400"),
+    pytest.param("lr", "1" + "0" * 400, id="lr-int-beyond-float"),
+    ("lr", '"0.001"'),
+    ("delta", "NaN"),
+    ("task", "3"),
+    ("out_dir", "false"),
+])
+def test_train_wrongly_typed_field_is_one_line_usage_error(tmp_path, capsys, field, literal):
+    fields = {"task": '"square_to_rectangle"', "epochs": "1", field: literal}
+    p = os.path.join(str(tmp_path), "cfg.json")
+    with open(p, "w") as fh:
+        fh.write("{%s}" % ", ".join(f'"{k}": {v}' for k, v in fields.items()))
+    assert cli(["train", "--config", p]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
 
 
 def test_end_to_end_discovery_reports_half_turn(tmp_path, capsys):

@@ -15,7 +15,6 @@ from rgconv import (
     VoxelScene,
     build_group,
     downsample_mean,
-    gen_flow,
     gen_flow_dataset,
     gen_perovskite,
     gen_shape2d,
@@ -197,25 +196,25 @@ def test_transform_scene_identity_and_composition():
 
 
 def test_flow_shapes_and_divergence():
-    x, y = gen_flow(seed=0, size=(32, 32, 32))
+    x, y = gen_flow_dataset(0, 1, size=(32, 32, 32)).samples[0]
     assert x.shape == (9, 8, 8, 8)
     assert y.shape == (3, 32, 32, 32)
     assert spectral_divergence_max(y) < 1e-10
 
 
 def test_flow_channel_mode_divergence_free_too():
-    _, y = gen_flow(seed=1, size=(16, 16, 16), anisotropy="channel")
+    _, y = gen_flow_dataset(1, 1, size=(16, 16, 16), anisotropy="channel").samples[0]
     assert spectral_divergence_max(y) < 1e-10
 
 
 def test_flow_deterministic_and_modes_differ():
-    a = gen_flow(seed=3, size=(16, 16, 16))
-    b = gen_flow(seed=3, size=(16, 16, 16))
+    def first(seed, anisotropy="isotropic"):
+        return gen_flow_dataset(seed, 1, size=(16, 16, 16), anisotropy=anisotropy).samples[0]
+
+    a, b = first(3), first(3)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    c = gen_flow(seed=3, size=(16, 16, 16), anisotropy="channel")
-    assert not np.array_equal(a[1], c[1])
-    d = gen_flow(seed=4, size=(16, 16, 16))
-    assert not np.array_equal(a[1], d[1])
+    assert not np.array_equal(a[1], first(3, "channel")[1])
+    assert not np.array_equal(a[1], first(4)[1])
 
 
 def test_flow_dataset_windows_share_frames():
@@ -237,11 +236,11 @@ def test_flow_dataset_split_sizes():
 
 def test_flow_rejects_bad_args():
     with pytest.raises(ConfigError):
-        gen_flow(0, size=(30, 30, 30))  # not divisible by 4
+        gen_flow_dataset(0, 1, size=(30, 30, 30))  # not divisible by 4
     with pytest.raises(ConfigError):
-        gen_flow(0, size=(16, 16, 8))  # not cubic
+        gen_flow_dataset(0, 1, size=(16, 16, 8))  # not cubic
     with pytest.raises(ConfigError):
-        gen_flow(0, size=(16, 16, 16), anisotropy="spanwise")
+        gen_flow_dataset(0, 1, size=(16, 16, 16), anisotropy="spanwise")
     with pytest.raises(ConfigError):
         gen_flow_dataset(0, 0, size=(16, 16, 16))
 

@@ -21,7 +21,6 @@ from rgconv import (
     transform_grid,
     transform_group_feature,
 )
-from rgconv.groups import dump_cache_csv, dump_group_csv
 
 ALL_KINDS = ["cyclic_2d(2)", "cyclic_2d(4)", "octahedral_24", "octahedral_48"]
 
@@ -307,12 +306,3 @@ def test_build_errors():
     with pytest.raises(IndexError):
         compose(build_group("cyclic_2d(4)"), 0, 7)
 
-
-def test_csv_dumps(tmp_path):
-    G = build_group("cyclic_2d(4)")
-    dump_group_csv(G, tmp_path / "group.csv")
-    dump_cache_csv(G.grid_cache(3), tmp_path / "cache.csv")
-    lines = (tmp_path / "group.csv").read_text().strip().splitlines()
-    assert len(lines) == 5 and lines[0].startswith("id,name,inverse")
-    lines = (tmp_path / "cache.csv").read_text().strip().splitlines()
-    assert len(lines) == 5

@@ -25,7 +25,6 @@ from rgconv.layers import (
     RelaxedGConvLayer,
     SeparableRelaxedGConvLayer,
     group_pool,
-    init_layer,
 )
 
 C4 = build_group("cyclic_2d(4)")
@@ -57,7 +56,7 @@ def gfeature_equivariance_error(layer, G, f):
 
 def test_lifting_delta_input_stamps_rotated_kernels():
     layer = LiftingLayer(C4, 1, 1, banks=1, kernel_size=3)
-    init_layer(layer, 0)
+    layer.init(np.random.default_rng(0))
     k = np.arange(9.0).reshape(3, 3)  # asymmetric stamp
     layer.kernels.data[0, 0, 0] = k.ravel()
     x = np.zeros((1, 1, 7, 7))
@@ -80,7 +79,7 @@ def test_lifting_delta_input_stamps_rotated_kernels():
 def test_lifting_equivariance_at_unit_weights(G, shape):
     rng = np.random.default_rng(0)
     layer = LiftingLayer(G, shape[1], 3, banks=2, kernel_size=3)
-    init_layer(layer, 1)
+    layer.init(np.random.default_rng(1))
     x = rng.normal(size=shape)
     assert lifted_equivariance_error(layer, G, x) < 1e-10
 
@@ -89,7 +88,7 @@ def test_lifting_equivariance_at_unit_weights(G, shape):
 def test_gconv_equivariance_at_unit_weights(G, spatial):
     rng = np.random.default_rng(1)
     layer = RelaxedGConvLayer(G, 2, 2, banks=2, kernel_size=3, relaxed=False)
-    init_layer(layer, 2)
+    layer.init(np.random.default_rng(2))
     f = rng.normal(size=(1, 2, G.order) + spatial)
     assert gfeature_equivariance_error(layer, G, f) < 1e-10
 
@@ -98,7 +97,7 @@ def test_gconv_equivariance_at_unit_weights(G, spatial):
 def test_separable_equivariance_at_unit_weights(G, spatial):
     rng = np.random.default_rng(2)
     layer = SeparableRelaxedGConvLayer(G, 2, 3, banks=2, kernel_size=3)
-    init_layer(layer, 3)
+    layer.init(np.random.default_rng(3))
     f = rng.normal(size=(1, 2, G.order) + spatial)
     assert gfeature_equivariance_error(layer, G, f) < 1e-10
 
@@ -106,7 +105,7 @@ def test_separable_equivariance_at_unit_weights(G, spatial):
 def test_nonuniform_weights_break_equivariance():
     rng = np.random.default_rng(3)
     layer = RelaxedGConvLayer(C4, 2, 2, banks=2, kernel_size=3, relaxed=True)
-    init_layer(layer, 4)
+    layer.init(np.random.default_rng(4))
     layer.w.data[...] = rng.normal(loc=1.0, scale=0.5, size=layer.w.shape)
     f = rng.normal(size=(1, 2, 4, 9, 9))
     assert gfeature_equivariance_error(layer, C4, f) > 1e-3
@@ -116,8 +115,8 @@ def test_relaxed_flag_does_not_change_values_at_unit_weights():
     rng = np.random.default_rng(4)
     frozen = RelaxedGConvLayer(O24, 2, 2, banks=2, relaxed=False)
     relaxed = RelaxedGConvLayer(O24, 2, 2, banks=2, relaxed=True)
-    init_layer(frozen, 5)
-    init_layer(relaxed, 5)
+    frozen.init(np.random.default_rng(5))
+    relaxed.init(np.random.default_rng(5))
     assert np.array_equal(frozen.kernels.data, relaxed.kernels.data)
     f = rng.normal(size=(1, 2, 24, 5, 5, 5))
     with no_grad():
@@ -131,7 +130,7 @@ def test_relaxed_flag_does_not_change_values_at_unit_weights():
 def test_separable_matches_full_kernel_outer_product():
     rng = np.random.default_rng(5)
     sep = SeparableRelaxedGConvLayer(C4, 2, 3, banks=2, kernel_size=3)
-    init_layer(sep, 6)
+    sep.init(np.random.default_rng(6))
     sep.w.data[...] = rng.normal(1.0, 0.3, size=sep.w.shape)
 
     full = RelaxedGConvLayer(C4, 2, 3, banks=2, kernel_size=3)
@@ -159,14 +158,14 @@ def test_separable_parameter_reduction():
 def test_init_determinism_and_unit_weights():
     a = LiftingLayer(O48, 2, 3, banks=2)
     b = LiftingLayer(O48, 2, 3, banks=2)
-    init_layer(a, 123)
-    init_layer(b, 123)
+    a.init(np.random.default_rng(123))
+    b.init(np.random.default_rng(123))
     assert np.array_equal(a.kernels.data, b.kernels.data)
     assert np.all(a.w.data == 1.0)
     bound = 1.0 / np.sqrt(2 * 27)
     assert np.max(np.abs(a.kernels.data)) <= bound
     c = LiftingLayer(O48, 2, 3, banks=2)
-    init_layer(c, 124)
+    c.init(np.random.default_rng(124))
     assert not np.array_equal(a.kernels.data, c.kernels.data)
 
 
@@ -189,7 +188,7 @@ def grad_check_layer(layer, x, params, atol=1e-7):
 def test_lifting_gradients():
     rng = np.random.default_rng(7)
     layer = LiftingLayer(C4, 1, 2, banks=2, kernel_size=3, relaxed=True)
-    init_layer(layer, 8)
+    layer.init(np.random.default_rng(8))
     x = rng.normal(size=(1, 1, 5, 5))
     grad_check_layer(layer, x, [layer.kernels, layer.w])
 
@@ -197,7 +196,7 @@ def test_lifting_gradients():
 def test_gconv_gradients():
     rng = np.random.default_rng(8)
     layer = RelaxedGConvLayer(C4, 1, 1, banks=2, kernel_size=3, relaxed=True)
-    init_layer(layer, 9)
+    layer.init(np.random.default_rng(9))
     f = rng.normal(size=(1, 1, 4, 5, 5))
     grad_check_layer(layer, f, [layer.kernels, layer.w])
 
@@ -205,7 +204,7 @@ def test_gconv_gradients():
 def test_separable_gradients():
     rng = np.random.default_rng(9)
     layer = SeparableRelaxedGConvLayer(C4, 2, 2, banks=2, kernel_size=3)
-    init_layer(layer, 10)
+    layer.init(np.random.default_rng(10))
     f = rng.normal(size=(1, 2, 4, 5, 5))
     grad_check_layer(layer, f, [layer.psi_o, layer.psi_t, layer.w])
 
@@ -213,7 +212,7 @@ def test_separable_gradients():
 def test_group_upsample_shapes_and_slice_consistency():
     rng = np.random.default_rng(10)
     up = GroupUpsampleConv(C4, 2, 3, kernel_size=3)
-    init_layer(up, 11)
+    up.init(np.random.default_rng(11))
     f = rng.normal(size=(2, 2, 4, 5, 5))
     with no_grad():
         y = up(tensor(f)).data
@@ -232,7 +231,7 @@ def test_group_upsample_shapes_and_slice_consistency():
 def test_group_upsample_gradients():
     rng = np.random.default_rng(11)
     up = GroupUpsampleConv(C4, 1, 1, kernel_size=3)
-    init_layer(up, 12)
+    up.init(np.random.default_rng(12))
     f = rng.normal(size=(1, 1, 4, 3, 3))
     grad_check_layer(up, f, [up.kernel])
 
@@ -252,12 +251,12 @@ def test_group_pool_commutes_with_group_action():
 def test_plain_conv_layers():
     rng = np.random.default_rng(13)
     conv = ConvLayer(2, 3, 4)
-    init_layer(conv, 14)
+    conv.init(np.random.default_rng(14))
     x = rng.normal(size=(2, 3, 6, 6))
     with no_grad():
         assert conv(tensor(x)).shape == (2, 4, 6, 6)
     upc = ConvTransposeLayer(3, 2, 3)
-    init_layer(upc, 15)
+    upc.init(np.random.default_rng(15))
     x3 = rng.normal(size=(1, 2, 4, 4, 4))
     with no_grad():
         assert upc(tensor(x3)).shape == (1, 3, 8, 8, 8)
@@ -270,6 +269,12 @@ def test_layer_construction_errors():
         LiftingLayer(C4, 1, 2, kernel_size=4)
     with pytest.raises(ConfigError):
         RelaxedGConvLayer(C4, 1, 2, banks=0)
+    with pytest.raises(ConfigError):
+        ConvLayer(4, 1, 2)  # only 2D and 3D grids
+    with pytest.raises(ConfigError):
+        ConvLayer(2, 1, 2, relaxed=True)  # plain layers carry no relaxed weights
+    with pytest.raises(ConfigError):
+        GroupUpsampleConv(C4, 1, 2, banks=2)
     layer = RelaxedGConvLayer(C4, 2, 2)
     with pytest.raises(ShapeError):
         layer(tensor(np.zeros((1, 2, 3, 9, 9))))  # wrong group axis

@@ -23,6 +23,7 @@ from rgconv.training import (
     discovery_pair,
     eval_l1,
     load_flow_dataset,
+    model_predictor,
     trilinear_upsample,
 )
 
@@ -127,6 +128,18 @@ def test_superres_loss_finite_and_decreasing():
     assert all(np.isfinite(v) for v in stats.train_losses)
     assert stats.train_losses[-1] < stats.train_losses[0]
     assert all(np.isfinite(v) for v in stats.val_losses)
+
+
+def test_superres_epoch_loss_weights_batches_by_size():
+    # 6 training samples in batches of 4 and 2; at a negligible lr the
+    # weights do not move, so the epoch loss is the training-set L1
+    c = cfg(**dict(SMALL_FLOW, n_samples=8, batch_size=4, epochs=1,
+                   optimizer="sgd", lr=1e-30, precision="f64"))
+    model, stats = train(c)
+    train_set = load_flow_dataset(c).train
+    assert len(train_set) == 6
+    want = eval_l1(model_predictor(model), train_set)
+    assert stats.train_losses[0] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
