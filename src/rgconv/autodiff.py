@@ -249,12 +249,13 @@ def scale(c: float, a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    """``max(a, 0)``; NaN stays NaN, and the gradient at exactly 0 is 0."""
+    out = np.maximum(a.data, 0)
 
     def pull(g):
-        return (np.where(mask, g, 0.0),)
+        return (g * (out > 0),)
 
-    return record("relu", np.where(mask, a.data, 0.0), (a,), pull)
+    return record("relu", out, (a,), pull)
 
 
 def absval(a: Tensor) -> Tensor:

@@ -6,8 +6,19 @@ with 2 or 3 trailing spatial axes. Kernels are centered and odd-sized, and
 offsets ``o`` in ``[-(S-1)/2, (S-1)/2]^d``. Padding is ``circular`` (periodic
 wrap, the default everywhere in this package) or ``zero``.
 
-The inner loops run one batched matmul per kernel offset, which keeps all the
-heavy lifting inside BLAS.
+Inner loops, by kernel shape:
+
+- dense and grouped convs run one batched matmul per kernel offset, on a
+  copy of the input window at that offset;
+- depthwise convs (one input and one output channel per group, as in the
+  separable layer's spatial stage) run a broadcast multiply-add per offset;
+- ``stuffed_conv_nd`` runs one batched matmul per (output phase, tap).
+
+The last two read flat windows: the padded input is flattened over its
+spatial axes, so the input at offset ``o`` from every output voxel is one
+contiguous slice, read in place. Its junk columns (voxels past the edge) are
+dropped when the output is written. A conv whose input is data (no tape node
+and no ``requires_grad``) pulls no input gradient.
 """
 
 from __future__ import annotations
@@ -30,14 +41,39 @@ __all__ = [
 ]
 
 
-def _pad_spatial(arr: np.ndarray, halos, padding: str) -> np.ndarray:
-    d = len(halos)
-    pads = [(0, 0)] * (arr.ndim - d) + [(h, h) for h in halos]
+def _pad_spatial(arr: np.ndarray, pads, padding: str) -> np.ndarray:
+    """Pad the trailing ``len(pads)`` axes by their ``(low, high)`` pairs."""
+    pads = [(0, 0)] * (arr.ndim - len(pads)) + list(pads)
     if padding == "circular":
         return np.pad(arr, pads, mode="wrap")
     if padding == "zero":
         return np.pad(arr, pads, mode="constant")
     raise ConfigError(f"unknown padding {padding!r}")
+
+
+def _flat_windows(padded, D, offsets) -> tuple[list[int], int]:
+    """Flat offsets of the spatial ``offsets`` in a row-major volume of
+    extents ``padded``, and the window length ``n`` that covers ``D``.
+
+    Voxel ``v + o`` lies ``flat(o)`` entries after voxel ``v``, so for all
+    output voxels ``v < D`` at once the values at ``v + o`` are the slice
+    ``[flat(o), flat(o) + n)`` of the flattened volume. The window also holds
+    junk columns (some ``v_a >= D_a``), which ``_interior`` drops.
+    """
+    strides = np.cumprod((1,) + tuple(padded[:0:-1]))[::-1]
+    flat = [int(np.dot(o, strides)) for o in offsets]
+    return flat, int(np.dot(np.subtract(D, 1), strides)) + 1
+
+
+def _interior(flat: np.ndarray, padded, D) -> np.ndarray:
+    """``[..., prod(padded)]`` viewed as ``[..., *padded]``, cut to its low
+    corner of extents ``D`` (a strided view)."""
+    vol = flat.reshape(flat.shape[:-1] + tuple(padded))
+    return vol[(Ellipsis,) + tuple(slice(0, n) for n in D)]
+
+
+def _wants_grad(t: Tensor) -> bool:
+    return t.node is not None or t.requires_grad
 
 
 def _check_conv_args(x_shape, k_shape, groups: int) -> tuple:
@@ -60,13 +96,61 @@ def _check_conv_args(x_shape, k_shape, groups: int) -> tuple:
     return d, S
 
 
+def _is_depthwise(k_shape, groups: int) -> bool:
+    return k_shape[0] == groups and k_shape[1] == 1
+
+
+def _depthwise_windows(x: np.ndarray, S, padding: str):
+    """``x`` padded and laid out channel-major as ``[G, B * P]``, with the
+    flat tap offsets and the window length. Item ``b + 1`` starts ``P``
+    entries after item ``b``, so one window per tap covers the whole batch.
+    """
+    xp = _pad_spatial(x.swapaxes(0, 1), [((s - 1) // 2,) * 2 for s in S], padding)
+    padded = xp.shape[2:]
+    offsets, n = _flat_windows(padded, x.shape[2:], np.ndindex(*S))
+    n += (x.shape[0] - 1) * int(np.prod(padded))
+    return xp.reshape(x.shape[1], -1), padded, offsets, n
+
+
+def _depthwise_fwd(x: np.ndarray, k: np.ndarray, padding: str) -> np.ndarray:
+    # one stencil per channel: a broadcast multiply-add per tap
+    B, G, D = x.shape[0], x.shape[1], x.shape[2:]
+    xf, padded, offsets, n = _depthwise_windows(x, k.shape[2:], padding)
+    taps = k.reshape(G, -1)
+    out = np.empty(xf.shape, dtype=np.result_type(x, k))
+    acc, tmp = out[:, :n], np.empty((G, n), dtype=out.dtype)
+    for t, off in enumerate(offsets):
+        np.multiply(xf[:, off : off + n], taps[:, t, None], out=acc if t == 0 else tmp)
+        if t:
+            acc += tmp
+    out = _interior(out.reshape((G, B, -1)), padded, D)
+    return np.ascontiguousarray(out.swapaxes(0, 1))
+
+
+def _depthwise_bwd_kernel(
+    g: np.ndarray, x: np.ndarray, k_shape, padding: str
+) -> np.ndarray:
+    B, G = x.shape[:2]
+    xf, padded, offsets, n = _depthwise_windows(x, k_shape[2:], padding)
+    # g in the same layout, zero on the junk columns
+    gp = np.zeros(xf.shape, dtype=g.dtype)
+    _interior(gp.reshape((G, B, -1)), padded, x.shape[2:])[...] = g.swapaxes(0, 1)
+    gp = gp[:, :n]
+    gk = np.empty((G, len(offsets)), dtype=np.result_type(g, x))
+    for t, off in enumerate(offsets):
+        gk[:, t] = np.einsum("gn,gn->g", gp, xf[:, off : off + n])
+    return gk.reshape(k_shape)
+
+
 def _conv_fwd(x: np.ndarray, k: np.ndarray, padding: str, groups: int) -> np.ndarray:
+    if _is_depthwise(k.shape, groups):
+        return _depthwise_fwd(x, k, padding)
     d = k.ndim - 2
     B, D, S = x.shape[0], x.shape[2:], k.shape[2:]
     G = groups
     Ci, Co = k.shape[1], k.shape[0] // groups
     halos = [(s - 1) // 2 for s in S]
-    xp = _pad_spatial(x, halos, padding).reshape(
+    xp = _pad_spatial(x, [(h, h) for h in halos], padding).reshape(
         (B, G, Ci) + tuple(D[i] + 2 * halos[i] for i in range(d))
     )
     kk = k.reshape(G, Co, Ci, -1)
@@ -82,12 +166,14 @@ def _conv_fwd(x: np.ndarray, k: np.ndarray, padding: str, groups: int) -> np.nda
 def _conv_bwd_kernel(
     g: np.ndarray, x: np.ndarray, k_shape, padding: str, groups: int
 ) -> np.ndarray:
+    if _is_depthwise(k_shape, groups):
+        return _depthwise_bwd_kernel(g, x, k_shape, padding)
     d = len(k_shape) - 2
     B, D, S = x.shape[0], x.shape[2:], k_shape[2:]
     G = groups
     Ci, Co = k_shape[1], k_shape[0] // groups
     halos = [(s - 1) // 2 for s in S]
-    xp = _pad_spatial(x, halos, padding).reshape(
+    xp = _pad_spatial(x, [(h, h) for h in halos], padding).reshape(
         (B, G, Ci) + tuple(D[i] + 2 * halos[i] for i in range(d))
     )
     vol = int(np.prod(D))
@@ -118,11 +204,13 @@ def conv_nd(x: Tensor, kernel: Tensor, padding: str = "circular", groups: int = 
     """
     _check_conv_args(x.shape, kernel.shape, groups)
     xd, kd = x.data, kernel.data
+    want_gx = _wants_grad(x)
 
     def pull(g):
-        gx = _conv_fwd(g, _swap_flip_kernel(kd, groups), padding, groups)
-        gk = _conv_bwd_kernel(g, xd, kd.shape, padding, groups)
-        return gx, gk
+        gx = None
+        if want_gx:
+            gx = _conv_fwd(g, _swap_flip_kernel(kd, groups), padding, groups)
+        return gx, _conv_bwd_kernel(g, xd, kd.shape, padding, groups)
 
     return record("conv_nd", _conv_fwd(xd, kd, padding, groups), (x, kernel), pull)
 
@@ -150,85 +238,83 @@ def _phase_taps(d: int):
     S=3 stencil: output parity class ``phi`` only ever meets the stuffed
     signal's nonzero samples at stencil offsets of matching parity, so each
     (phase, tap) pair reduces to a pointwise product with the unstuffed
-    input rolled by 0 or 1 per axis.
+    input shifted by 0 or 1 per axis. Yields the phase's slice of the output
+    and its ``(flat tap, shift)`` pairs.
     """
     strides = [3 ** (d - 1 - a) for a in range(d)]
-    table = []
     for phi in np.ndindex(*(2,) * d):
         taps = []
         for combo in itertools.product(*[(1,) if p == 0 else (0, 2) for p in phi]):
             flat = sum(c * s for c, s in zip(combo, strides))
             shift = tuple((c - 1 + p) // 2 for c, p in zip(combo, phi))
             taps.append((flat, shift))
-        table.append((phi, taps))
-    return table
+        yield (Ellipsis,) + tuple(slice(p, None, 2) for p in phi), taps
 
 
-def _rolled_views(x: np.ndarray, d: int) -> dict:
-    # x is [B, G, Ci, *D]; values are flattened to [B, G, Ci, vol]
-    vol = int(np.prod(x.shape[3:]))
-    axes = tuple(range(3, 3 + d))
-    out = {}
-    for s in np.ndindex(*(2,) * d):
-        if any(s):
-            out[s] = np.roll(x, tuple(-v for v in s), axis=axes).reshape(
-                x.shape[:3] + (vol,)
-            )
-        else:
-            out[s] = x.reshape(x.shape[:3] + (vol,))
-    return out
+def _stuffed_windows(x: np.ndarray, k: np.ndarray, groups: int):
+    """``x`` padded once, circularly, by one voxel on the high side of each
+    axis and flattened to ``[B, G, C_in, P]``: shift ``s`` of the input
+    (``x[v + s]``, wrapping) is then the flat window ``[off[s], off[s] + n)``,
+    which ``matmul`` reads in place. Kernel taps come first: ``[T, G, Co, Ci]``.
+    """
+    d = x.ndim - 2
+    xp = _pad_spatial(x, [(0, 1)] * d, "circular")
+    shifts = list(np.ndindex(*(2,) * d))
+    offsets, n = _flat_windows(xp.shape[2:], x.shape[2:], shifts)
+    xf = xp.reshape((x.shape[0], groups, k.shape[1], -1))
+    kt = np.moveaxis(k.reshape(groups, k.shape[0] // groups, k.shape[1], -1), -1, 0)
+    return xf, xp.shape[2:], dict(zip(shifts, offsets)), n, np.ascontiguousarray(kt)
 
 
 def _stuffed_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
-    d = k.ndim - 2
-    B, D = x.shape[0], x.shape[2:]
-    G, Ci, Co = groups, k.shape[1], k.shape[0] // groups
-    vol = int(np.prod(D))
-    kk = k.reshape(G, Co, Ci, -1)
-    rolled = _rolled_views(x.reshape((B, G, Ci) + tuple(D)), d)
-    out = np.zeros(
-        (B, G, Co) + tuple(2 * n for n in D), dtype=np.result_type(x, k)
-    )
-    for phi, taps in _phase_taps(d):
-        acc = np.zeros((B, G, Co, vol), dtype=out.dtype)
-        for flat, shift in taps:
-            acc += kk[..., flat] @ rolled[shift]
-        sl = (slice(None),) * 3 + tuple(slice(p, None, 2) for p in phi)
-        out[sl] = acc.reshape((B, G, Co) + tuple(D))
-    return out.reshape((B, G * Co) + tuple(2 * n for n in D))
+    xf, padded, off, n, kt = _stuffed_windows(x, k, groups)
+    B, D, (_, G, Co, _) = x.shape[0], x.shape[2:], kt.shape
+    up = tuple(2 * m for m in D)
+    dtype = np.result_type(x, k)
+    out = np.empty((B, G, Co) + up, dtype=dtype)
+    acc = np.empty((B, G, Co, xf.shape[-1]), dtype=dtype)
+    head, tmp = acc[..., :n], np.empty((B, G, Co, n), dtype=dtype)
+    for sl, taps in _phase_taps(len(D)):
+        for i, (t, s) in enumerate(taps):
+            np.matmul(kt[t], xf[..., off[s] : off[s] + n], out=tmp if i else head)
+            if i:
+                head += tmp
+        out[sl] = _interior(acc, padded, D)  # this phase's voxels, once
+    return out.reshape((B, G * Co) + up)
 
 
 def _stuffed_bwd(
-    g: np.ndarray, x: np.ndarray, k: np.ndarray, groups: int
-) -> tuple[np.ndarray, np.ndarray]:
-    d = k.ndim - 2
-    B, D = x.shape[0], x.shape[2:]
-    G, Ci, Co = groups, k.shape[1], k.shape[0] // groups
-    vol = int(np.prod(D))
-    kk = k.reshape(G, Co, Ci, -1)
-    rolled = _rolled_views(x.reshape((B, G, Ci) + tuple(D)), d)
-    gr = g.reshape((B, G, Co) + tuple(2 * n for n in D))
-
-    gx_by_shift = {
-        s: np.zeros((B, G, Ci, vol), dtype=np.result_type(g, k))
-        for s in np.ndindex(*(2,) * d)
-    }
-    gk = np.zeros(kk.shape, dtype=np.result_type(g, x))
-    for phi, taps in _phase_taps(d):
-        sl = (slice(None),) * 3 + tuple(slice(p, None, 2) for p in phi)
-        gphi = np.ascontiguousarray(gr[sl]).reshape(B, G, Co, vol)
-        for flat, shift in taps:
-            gx_by_shift[shift] += kk[..., flat].swapaxes(-1, -2) @ gphi
-            gk[..., flat] += (gphi @ rolled[shift].swapaxes(-1, -2)).sum(axis=0)
-
-    gx = np.zeros((B, G, Ci) + tuple(D), dtype=np.result_type(g, k))
-    axes = tuple(range(3, 3 + d))
-    for s, acc in gx_by_shift.items():
-        block = acc.reshape((B, G, Ci) + tuple(D))
-        if any(s):
-            block = np.roll(block, s, axis=axes)
-        gx += block
-    return gx.reshape(x.shape), gk.reshape(k.shape)
+    g: np.ndarray, x: np.ndarray, k: np.ndarray, groups: int, want_gx: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    xf, padded, off, n, kt = _stuffed_windows(x, k, groups)
+    B, D, (_, G, Co, Ci) = x.shape[0], x.shape[2:], kt.shape
+    gr = g.reshape((B, G, Co) + tuple(2 * m for m in D))
+    # one phase of g at a time in the padded layout, zero on the junk columns
+    gp = np.zeros((B, G, Co, xf.shape[-1]), dtype=g.dtype)
+    g_in, gn = _interior(gp, padded, D), gp[..., :n]
+    gk = np.zeros(kt.shape, dtype=np.result_type(g, x))
+    if want_gx:
+        ktt = np.ascontiguousarray(kt.swapaxes(-1, -2))
+        dtype = np.result_type(g, k)
+        gxp = np.zeros((B, G, Ci, xf.shape[-1]), dtype=dtype)
+        tmp = np.empty((B, G, Ci, n), dtype=dtype)
+    for sl, taps in _phase_taps(len(D)):
+        g_in[...] = gr[sl]
+        for t, s in taps:
+            gk[t] += (gn @ xf[..., off[s] : off[s] + n].swapaxes(-1, -2)).sum(axis=0)
+            if want_gx:
+                np.matmul(ktt[t], gn, out=tmp)
+                gxp[..., off[s] : off[s] + n] += tmp
+    gk = np.moveaxis(gk, 0, -1).reshape(k.shape)
+    if not want_gx:
+        return None, gk
+    # fold the wrapped high halo back onto the voxels it copies
+    v = gxp.reshape((B, G, Ci) + padded)
+    for a, m in enumerate(D):
+        ax = (slice(None),) * (3 + a)
+        v[ax + (slice(0, 1),)] += v[ax + (slice(m, m + 1),)]
+        v = v[ax + (slice(0, m),)]
+    return v.reshape(x.shape), gk
 
 
 def stuffed_conv_nd(
@@ -240,16 +326,16 @@ def stuffed_conv_nd(
     dense cost. Circular 3-stencils take the fast path; anything else falls
     back to the literal composition.
     """
-    d = kernel.ndim - 2
     _check_conv_args(
         x.shape[:2] + tuple(2 * n for n in x.shape[2:]), kernel.shape, groups
     )
     if padding != "circular" or kernel.shape[2] != 3:
         return conv_nd(zero_stuff(x, 2), kernel, padding=padding, groups=groups)
     xd, kd = x.data, kernel.data
+    want_gx = _wants_grad(x)
 
     def pull(g):
-        return _stuffed_bwd(g, xd, kd, groups)
+        return _stuffed_bwd(g, xd, kd, groups, want_gx)
 
     return record(
         "stuffed_conv_nd", _stuffed_fwd(xd, kd, groups), (x, kernel), pull

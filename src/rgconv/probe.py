@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, backward, loss, no_grad, tensor, zero_grads
-from .errors import ConfigError, ContractError, ShapeError, SymmetryCheckFailed
+from .errors import (
+    ConfigError,
+    ContractError,
+    DataError,
+    ShapeError,
+    SymmetryCheckFailed,
+)
 from .groups import (
     CharacterTable,
     FiniteGroup,
@@ -197,12 +203,21 @@ def weight_report(layers, tau: float | None = None, csv_dir=None) -> SymmetryRep
     Deviation d(g) = max over layers and banks of |w_l(g) - w_l(e)|. The
     default threshold is tau = max(1e-6, 0.05 * max_g d(g)); raw deviations
     are always included so borderline calls can be audited. When ``csv_dir``
-    is given the weight, irrep and summary tables are written there.
+    is given the weight, irrep and summary tables are written there. A NaN
+    or infinite weight raises :class:`DataError` naming its layer and element.
     """
     picked = _relaxed_weight_layers(layers)
     group = picked[0].group
     names = [f"layer{i}_{type(ly).__name__}" for i, ly in enumerate(picked)]
     weights = [np.array(ly.w.data, dtype=np.float64) for ly in picked]
+    for name, w in zip(names, weights):
+        bad = np.argwhere(~np.isfinite(w))
+        if len(bad):
+            bank, g = (int(i) for i in bad[0])
+            raise DataError(
+                f"{name} has a non-finite relaxed weight {w[bank, g]} "
+                f"at bank {bank}, element {group.names[g]}"
+            )
 
     dev = np.zeros(group.order)
     for w in weights:

@@ -88,6 +88,18 @@ def test_relu_subgradient_zero_at_zero():
     assert np.array_equal(x2.grad, [0.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_passes_nan_through(dtype):
+    # a NaN made upstream must reach the loss check, not be masked to 0
+    x = parameter(np.array([np.nan, -1.0, 0.0, 3.0], dtype=dtype))
+    y = relu(x)
+    assert y.dtype == dtype
+    assert np.isnan(y.data[0]) and np.array_equal(y.data[1:], [0.0, 0.0, 3.0])
+    backward(sum_(mul(y, tensor(np.ones(4, dtype=dtype)))), params=[x])
+    assert x.grad.dtype == dtype
+    assert np.array_equal(x.grad[1:], [0.0, 0.0, 1.0])
+
+
 def test_broadcasting_and_unbroadcast_grads():
     a = parameter(np.ones((3, 4)))
     b = parameter(np.array(2.0))  # scalar broadcast

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from rgconv import read_rgt1
+from rgconv import read_rgt1, write_rgt1
 from rgconv.cli import cli
 
 
@@ -179,6 +179,23 @@ def test_analyze_corrupt_checkpoint(tmp_path):
     json.dump(cfg, open(os.path.join(run, "checkpoint.json"), "w"))
     # valid manifest but an unreadable container is a data error
     assert cli(["analyze", "--checkpoint", run, "--out", rep]) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_analyze_non_finite_weight_is_data_error(tmp_path, capsys, bad):
+    run = os.path.join(str(tmp_path), "run")
+    p = write_cfg(tmp_path, task="square_to_rectangle", epochs=0, out_dir=run)
+    assert cli(["train", "--config", p]) == 0
+    path = os.path.join(run, "checkpoint.rgt1")
+    blobs = read_rgt1(path)
+    name = next(n for n in blobs if n.endswith(".w"))
+    blobs[name][0, 1] = bad
+    write_rgt1(path, list(blobs.items()))
+    capsys.readouterr()
+    rep = os.path.join(str(tmp_path), "rep")
+    assert cli(["analyze", "--checkpoint", run, "--out", rep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "non-finite relaxed weight" in err
 
 
 def test_module_entry_point(tmp_path):

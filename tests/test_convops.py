@@ -113,6 +113,36 @@ def test_grouped_conv_matches_per_group_reference():
         assert np.allclose(out[:, g * Co : (g + 1) * Co], ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("padding", ["circular", "zero"])
+@pytest.mark.parametrize("S", [3, 5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_depthwise_conv_matches_per_group_reference(d, padding, S, dtype):
+    # one input and one output channel per group: the broadcast path
+    rng = np.random.default_rng(15)
+    G = 3
+    x = rng.normal(size=(2, G) + (5, 6, 5)[:d]).astype(dtype)
+    k = rng.normal(size=(G, 1) + (S,) * d).astype(dtype)
+    out = conv_nd(tensor(x), tensor(k), padding=padding, groups=G)
+    assert out.shape == x.shape and out.dtype == dtype
+    tol = dict(rtol=1e-5, atol=1e-4) if dtype == np.float32 else dict(atol=1e-12)
+    for g in range(G):
+        ref = conv_ref(x[:, g : g + 1], k[g : g + 1], padding)
+        assert np.allclose(out.data[:, g : g + 1], ref, **tol)
+
+
+@pytest.mark.parametrize("xshape,S", [((2, 3, 5, 6), 5), ((2, 3, 4, 5, 3), 3)])
+@pytest.mark.parametrize("padding", ["circular", "zero"])
+def test_depthwise_conv_gradients(xshape, S, padding):
+    rng = np.random.default_rng(16)
+    G, d = xshape[1], len(xshape) - 2
+    x = parameter(rng.normal(size=xshape))
+    k = parameter(rng.normal(size=(G, 1) + (S,) * d))
+    w = tensor(rng.normal(size=xshape))
+    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), x)
+    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), k)
+
+
 @pytest.mark.parametrize("padding", ["circular", "zero"])
 def test_conv_gradients(padding):
     rng = np.random.default_rng(5)
@@ -159,35 +189,83 @@ def test_zero_stuff_placement():
 def test_stuffed_conv_matches_composition():
     rng = np.random.default_rng(12)
     cases = [
-        ((2, 3, 4, 5), (2, 3, 3, 3), 1),
-        ((1, 4, 3, 4), (6, 2, 3, 3), 2),
-        ((2, 2, 3, 4, 3), (4, 2, 3, 3, 3), 1),
-        ((1, 6, 3, 3, 3), (3, 2, 3, 3, 3), 3),
+        ((2, 3, 4, 5), (2, 3, 3, 3), 1, np.float64),
+        ((1, 4, 3, 4), (6, 2, 3, 3), 2, np.float64),
+        ((2, 2, 3, 4, 3), (4, 2, 3, 3, 3), 1, np.float64),
+        ((1, 6, 3, 3, 3), (3, 2, 3, 3, 3), 3, np.float64),
+        # extent-2 axes, where half the voxels read the wrapped halo
+        ((2, 3, 2, 5), (2, 3, 3, 3), 1, np.float64),
+        ((1, 4, 2, 3, 2), (4, 2, 3, 3, 3), 2, np.float64),
+        ((2, 8, 4, 3, 5), (8, 4, 3, 3, 3), 2, np.float32),
     ]
-    for xshape, kshape, groups in cases:
-        x = tensor(rng.normal(size=xshape))
-        k = tensor(rng.normal(size=kshape))
+    for xshape, kshape, groups, dtype in cases:
+        x = tensor(rng.normal(size=xshape).astype(dtype))
+        k = tensor(rng.normal(size=kshape).astype(dtype))
         fast = stuffed_conv_nd(x, k, groups=groups)
         ref = conv_nd(zero_stuff(x, 2), k, groups=groups)
-        assert fast.shape == ref.shape
-        assert np.allclose(fast.data, ref.data, atol=1e-12)
+        assert fast.shape == ref.shape and fast.dtype == dtype
+        atol = 1e-5 if dtype == np.float32 else 1e-12
+        assert np.allclose(fast.data, ref.data, atol=atol)
+
+
+def test_stuffed_conv_rejects_extent_one_like_composition():
+    # a stuffed extent of 2 is below the stencil extent 3 on both routes
+    x = tensor(np.ones((1, 2, 1, 4)))
+    k = tensor(np.ones((2, 2, 3, 3)))
+    with pytest.raises(ShapeError):
+        stuffed_conv_nd(x, k)
+    with pytest.raises(ShapeError):
+        conv_nd(zero_stuff(x, 2), k)
 
 
 def test_stuffed_conv_gradients_match_composition():
     rng = np.random.default_rng(13)
-    x = parameter(rng.normal(size=(1, 4, 3, 4, 3)))
-    k = parameter(rng.normal(size=(4, 2, 3, 3, 3)))
-    w = tensor(rng.normal(size=(1, 4, 6, 8, 6)))
-    zero_grads([x, k])
-    backward(sum_(mul(stuffed_conv_nd(x, k, groups=2), w)), params=[x, k])
-    gx, gk = x.grad.copy(), k.grad.copy()
-    zero_grads([x, k])
-    backward(sum_(mul(conv_nd(zero_stuff(x, 2), k, groups=2), w)), params=[x, k])
-    assert np.allclose(gx, x.grad, atol=1e-12)
-    assert np.allclose(gk, k.grad, atol=1e-12)
-    # finite differences as a second, route-independent check
-    check_grad(lambda: sum_(mul(stuffed_conv_nd(x, k, groups=2), w)), x)
-    check_grad(lambda: sum_(mul(stuffed_conv_nd(x, k, groups=2), w)), k)
+    cases = [
+        ((1, 4, 3, 4, 3), np.float64),
+        ((1, 4, 2, 3, 2), np.float64),  # extent 2
+        ((2, 4, 3, 2, 4), np.float32),
+    ]
+    for xshape, dtype in cases:
+        x = parameter(rng.normal(size=xshape).astype(dtype))
+        k = parameter(rng.normal(size=(4, 2, 3, 3, 3)).astype(dtype))
+        wshape = xshape[:2] + tuple(2 * n for n in xshape[2:])
+        w = tensor(rng.normal(size=wshape).astype(dtype))
+        zero_grads([x, k])
+        backward(sum_(mul(stuffed_conv_nd(x, k, groups=2), w)), params=[x, k])
+        gx, gk = x.grad.copy(), k.grad.copy()
+        zero_grads([x, k])
+        backward(sum_(mul(conv_nd(zero_stuff(x, 2), k, groups=2), w)), params=[x, k])
+        assert gx.dtype == gk.dtype == dtype
+        atol = 1e-4 if dtype == np.float32 else 1e-12
+        assert np.allclose(gx, x.grad, atol=atol)
+        assert np.allclose(gk, k.grad, atol=atol)
+        if dtype == np.float64:
+            # finite differences as a second, route-independent check
+            check_grad(lambda: sum_(mul(stuffed_conv_nd(x, k, groups=2), w)), x)
+            check_grad(lambda: sum_(mul(stuffed_conv_nd(x, k, groups=2), w)), k)
+
+
+@pytest.mark.parametrize("route", ["conv", "depthwise", "stuffed"])
+def test_constant_input_gets_no_gradient(route):
+    # the input of a net is data: its conv node pulls no input gradient,
+    # and the kernel gradient is the same as with a live input
+    rng = np.random.default_rng(17)
+    op, kshape = {
+        "conv": (conv_nd, (4, 2, 3, 3, 3)),
+        "depthwise": (conv_nd, (4, 1, 3, 3, 3)),
+        "stuffed": (stuffed_conv_nd, (4, 2, 3, 3, 3)),
+    }[route]
+    groups = 4 // kshape[1]
+    xd = rng.normal(size=(2, 4, 3, 4, 3))
+    kd = rng.normal(size=kshape)
+    const = op(tensor(xd), parameter(kd), groups=groups)
+    live = op(parameter(xd), parameter(kd), groups=groups)
+    g = rng.normal(size=const.shape)
+    gx, gk = const.node.pull(g)
+    gx_live, gk_live = live.node.pull(g)
+    const.node.tape.release()
+    assert gx is None and gx_live.shape == xd.shape
+    assert np.array_equal(gk, gk_live)
 
 
 def test_stuffed_conv_fallback_routes():

@@ -14,6 +14,7 @@ import pytest
 from rgconv import (
     ConfigError,
     ContractError,
+    DataError,
     ShapeError,
     SymmetryCheckFailed,
     build_discovery_net,
@@ -290,6 +291,18 @@ def test_weight_report_rejects_bad_layer_sets():
     c4net = fresh_net(C4)
     with pytest.raises(ConfigError):
         weight_report(c2net.weight_layers() + c4net.weight_layers())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_weight_report_rejects_non_finite_weights(bad):
+    # a NaN deviation compares False against tau, so it used to read as
+    # preserved; an Inf made tau infinite and everything else preserved
+    net = fresh_net(C4)
+    layer = net.weight_layers()[1]
+    layer.w.data[0, 3] = bad
+    name = f"layer1_{type(layer).__name__}"
+    with pytest.raises(DataError, match=f"{name} .* element {C4.names[3]}"):
+        weight_report(net.weight_layers())
 
 
 # ---------------------------------------------------------------------------
