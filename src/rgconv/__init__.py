@@ -10,8 +10,6 @@ from .data import (
     gen_perovskite,
     gen_shape2d,
     rasterize,
-    spectral_divergence_max,
-    transform_scene,
 )
 from .errors import (
     ConfigError,

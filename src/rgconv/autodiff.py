@@ -32,7 +32,6 @@ __all__ = [
     "sub",
     "mul",
     "neg",
-    "scale",
     "relu",
     "absval",
     "matmul",
@@ -132,13 +131,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        """The underlying array. Treat as read-only while the tape is live."""
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -241,11 +233,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     return record("neg", -a.data, (a,), lambda g: (-g,))
-
-
-def scale(c: float, a: Tensor) -> Tensor:
-    c = float(c)
-    return record("scale", c * a.data, (a,), lambda g: (c * g,))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -354,7 +341,7 @@ def mean_(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
     def pull(g):
         gk = g if keepdims else np.expand_dims(g, axes)
-        return (np.broadcast_to(gk, shape) / count,)
+        return (np.broadcast_to(gk / count, shape),)  # a read-only view
 
     return record("mean", a.data.mean(axis=axes, keepdims=keepdims), (a,), pull)
 
@@ -422,14 +409,6 @@ def backward(out: Tensor, params: Iterable[Tensor] | None = None) -> None:
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad = None
-
-
-def reset_tape() -> None:
-    """Drop any half-recorded tape (for error recovery in long sessions)."""
-    global _ACTIVE_TAPE
-    if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.release()
-    _ACTIVE_TAPE = None
 
 
 # ---------------------------------------------------------------------------

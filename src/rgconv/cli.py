@@ -27,9 +27,13 @@ from .errors import (
     SymmetryCheckFailed,
     TrainingDiverged,
 )
-from .groups import build_group
-from .models import build_superres_net, param_count
-from .probe import equivariance_error, gradient_symmetry_check, weight_report
+from .models import param_count
+from .probe import (
+    equivariance_error,
+    gradient_symmetry_check,
+    weight_report,
+    write_report_csv,
+)
 from .tensorio import write_pgm, write_rgt1
 from .training import (
     build_model,
@@ -134,7 +138,8 @@ def _cmd_analyze(args) -> int:
     layers = model.weight_layers()
     if not layers:
         raise ConfigError("checkpoint holds a plain conv model; nothing to analyze")
-    report = weight_report(layers, csv_dir=args.out)
+    report = weight_report(layers)
+    write_report_csv(report, args.out)
     for name, w in zip(report.layer_names, report.weights):
         write_pgm(os.path.join(args.out, f"{name}_w.pgm"), w)
     write_pgm(os.path.join(args.out, "deviations.pgm"), report.deviations[None])
@@ -215,17 +220,11 @@ def _cmd_superres(args) -> int:
     kind = {"conv": "conv", "equiv": "equiv", "relaxed": "relaxed_equiv"}[args.baseline]
     overrides = {"layer_kind": kind}
     if kind == "conv" and not config.match_params:
-        target = param_count(
-            build_superres_net(
-                "relaxed_equiv",
-                group=build_group(config.group),
-                channels=config.channels,
-                blocks=config.blocks,
-                banks=config.banks,
-                kernel_size=config.kernel_size,
-            )
+        # match the relaxed model that the same config builds
+        relaxed = dataclasses.replace(
+            config, layer_kind="relaxed_equiv", match_params=0
         )
-        overrides["match_params"] = target
+        overrides["match_params"] = param_count(build_model(relaxed))
     run_cfg = dataclasses.replace(config, **overrides).validate()
     model, stats = train(run_cfg)
     val = stats.val_losses[-1] if stats.val_losses else float("nan")

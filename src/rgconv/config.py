@@ -150,8 +150,3 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         return cls.from_dict(d)
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")

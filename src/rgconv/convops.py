@@ -27,7 +27,7 @@ import itertools
 
 import numpy as np
 
-from .autodiff import Tensor, record
+from .autodiff import Tensor, record, reshape
 from .errors import ConfigError, ShapeError
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "zero_stuff",
     "take_last",
     "transform_group_kernel",
-    "upsample_linear",
 ]
 
 
@@ -375,107 +374,43 @@ def _as_index(idx) -> np.ndarray:
     return a
 
 
-def take_last(x: Tensor, idx, inv=None) -> Tensor:
+def take_last(x: Tensor, idx, inv) -> Tensor:
     """Gather the last axis by each row of ``idx``, stacking rows in front.
 
     ``x`` has shape ``[..., K]`` and ``idx`` is ``[H, K]`` with permutation
-    rows; the result is ``[H, ..., K]`` with ``out[h, ..., t] =
-    x[..., idx[h, t]]``. This one primitive covers both kernel rotation
-    (``idx = pi``) and group-axis permutation (``idx = sigma``).
+    rows, and ``inv`` holds their inverses; the result is ``[H, ..., K]``
+    with ``out[h, ..., t] = x[..., idx[h, t]]``. This one primitive covers
+    kernel rotation (``idx = pi``), group-axis permutation (``idx = sigma``)
+    and both at once (``transform_group_kernel``).
     """
-    idx = _as_index(idx)
+    idx, inv = _as_index(idx), _as_index(inv)
     if idx.shape[1] != x.shape[-1]:
         raise ShapeError(f"index width {idx.shape[1]} != last axis {x.shape[-1]}")
-    inv = np.argsort(idx, axis=1) if inv is None else _as_index(inv)
+    rows = np.arange(len(inv))[:, None]
 
     def pull(g):
-        # rows are permutations, so the adjoint is the inverse gather
-        expand = (slice(None),) + (None,) * (g.ndim - 2) + (slice(None),)
-        back = np.take_along_axis(g, np.broadcast_to(inv[expand], g.shape), axis=-1)
-        return (back.sum(axis=0),)
+        # rows are permutations, so the adjoint is the inverse gather; the
+        # indexed axes move to the front, giving [H, K, M]
+        back = g.reshape(len(inv), -1, inv.shape[1])[rows, :, inv].sum(axis=0)
+        return (back.T.reshape(x.shape),)
 
     out = np.moveaxis(x.data[..., idx], -2, 0)
     return record("take_last", np.ascontiguousarray(out), (x,), pull)
 
 
-def transform_group_kernel(x: Tensor, sigma, pi, sigma_inv=None, pi_inv=None) -> Tensor:
+def transform_group_kernel(x: Tensor, cache) -> Tensor:
     """Joint gather of the trailing ``[..., H', K]`` axes of a group kernel.
 
-    ``out[h, ..., j, t] = x[..., sigma[h, j], pi[h, t]]``: row ``h`` holds the
-    kernel as seen by output group element ``h``.
+    ``out[h, ..., j, t] = x[..., sigma[h, j], pi[h, t]]`` with the index
+    tables of the :class:`GridActionCache` ``cache``: row ``h`` holds the
+    kernel as seen by output group element ``h``. This is ``take_last`` over
+    the flattened ``(H', K)`` axes, by ``cache.kernel_gather``.
     """
-    sigma, pi = _as_index(sigma), _as_index(pi)
-    if x.shape[-2] != sigma.shape[1] or x.shape[-1] != pi.shape[1]:
+    Hp, K = x.shape[-2:]
+    if (Hp, K) != (cache.sigma.shape[1], cache.pi.shape[1]):
         raise ShapeError(
             f"kernel trailing axes {x.shape[-2:]} do not match index tables"
         )
-    sigma_inv = np.argsort(sigma, axis=1) if sigma_inv is None else _as_index(sigma_inv)
-    pi_inv = np.argsort(pi, axis=1) if pi_inv is None else _as_index(pi_inv)
-    H = sigma.shape[0]
-    mid_shape = x.shape[:-2]
-
-    def pull(g):
-        gr = g.reshape(H, -1, sigma.shape[1], pi.shape[1])
-        h_ix = np.arange(H)[:, None, None]
-        # advanced indices sit at axes (0, 2, 3); the indexed block moves to
-        # the front, giving [H, H', K, M]
-        gathered = gr[h_ix, :, sigma_inv[:, :, None], pi_inv[:, None, :]]
-        back = gathered.sum(axis=0)  # [H', K, M]
-        back = np.moveaxis(back, -1, 0)
-        return (back.reshape(x.shape),)
-
-    out = x.data[..., sigma[:, :, None], pi[:, None, :]]  # [..., H, H', K]
-    out = np.moveaxis(out, -3, 0)
-    return record("transform_group_kernel", np.ascontiguousarray(out), (x,), pull)
-
-
-# ---------------------------------------------------------------------------
-# interpolation
-
-
-def _axis_interp(x: Tensor, axis: int, i0, i1, w) -> Tensor:
-    shape = [1] * x.ndim
-    shape[axis] = len(w)
-    wb = w.reshape(shape)
-    x0 = x.data.take(i0, axis=axis)
-    x1 = x.data.take(i1, axis=axis)
-
-    def pull(g):
-        gx = np.zeros_like(x.data)
-        g0 = g * (1.0 - wb)
-        g1 = g * wb
-        idx0 = tuple(i0 if ax == axis else slice(None) for ax in range(x.ndim))
-        np.add.at(gx, idx0, g0.astype(x.dtype, copy=False))
-        idx1 = tuple(i1 if ax == axis else slice(None) for ax in range(x.ndim))
-        np.add.at(gx, idx1, g1.astype(x.dtype, copy=False))
-        return (gx,)
-
-    # x0 + w * (x1 - x0): keeps constant inputs exactly constant
-    out = x0 + wb * (x1 - x0)
-    return record("axis_interp", out, (x,), pull)
-
-
-def upsample_linear(x: Tensor, factor: int) -> Tensor:
-    """Separable linear upsampling of every spatial axis by ``factor``.
-
-    Endpoints map to endpoints (align-corners convention), so constant fields
-    stay exactly constant and linear ramps stay linear.
-    """
-    if factor < 1:
-        raise ConfigError(f"upsampling factor must be positive, got {factor}")
-    d = x.ndim - 2
-    if d not in (2, 3):
-        raise ShapeError(f"expected [B, C, *spatial] input, got shape {x.shape}")
-    out = x
-    for ax in range(2, 2 + d):
-        n = out.shape[ax]
-        m = n * factor
-        if n == 1:
-            pos = np.zeros(m)
-        else:
-            pos = np.arange(m) * (n - 1) / (m - 1)
-        i0 = np.floor(pos).astype(np.int64)
-        i1 = np.minimum(i0 + 1, n - 1)
-        w = (pos - i0).astype(x.dtype)
-        out = _axis_interp(out, ax, i0, i1, w)
-    return out
+    idx, inv = cache.kernel_gather
+    flat = take_last(reshape(x, x.shape[:-2] + (Hp * K,)), idx, inv)
+    return reshape(flat, (len(idx),) + x.shape)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, ShapeError
-from .groups import FiniteGroup, build_group, stabilizer_of_grid
+from .groups import build_group, stabilizer_of_grid
 
 __all__ = [
     "Atom",
@@ -32,11 +32,9 @@ __all__ = [
     "SHAPE2D_TASKS",
     "gen_shape2d",
     "gen_perovskite",
-    "transform_scene",
     "rasterize",
     "gen_flow_dataset",
     "downsample_mean",
-    "spectral_divergence_max",
 ]
 
 SHAPE2D_TASKS = ("square_to_square", "square_to_rectangle", "square_to_asymmetric")
@@ -163,18 +161,6 @@ def gen_perovskite(
         Atom("O", (0.0, 0.5, 0.5), sigma=sigma),
     ]
     return VoxelScene(size=grid, atoms=atoms)
-
-
-def transform_scene(group: FiniteGroup, g: int, scene: VoxelScene) -> VoxelScene:
-    """Map every atom position by the group element, about the cell center."""
-    if group.dim != 3:
-        raise ConfigError("scene transforms need a 3D group")
-    m = group.elements[g].matrix.astype(np.float64)
-    atoms = []
-    for a in scene.atoms:
-        f = (m @ (np.asarray(a.frac) - 0.5) + 0.5) % 1.0
-        atoms.append(Atom(a.species, tuple(float(v) for v in f), a.amplitude, a.sigma))
-    return VoxelScene(size=scene.size, atoms=atoms)
 
 
 def rasterize(scene: VoxelScene, channels: int = 3) -> np.ndarray:
@@ -325,62 +311,35 @@ def gen_flow_dataset(
     return Dataset(samples=[_window(frames, i, steps) for i in range(n_samples)])
 
 
-def spectral_divergence_max(u: np.ndarray) -> float:
-    """Max modulus of the spectral divergence of a [3, D, D, D] field."""
-    if u.ndim != 4 or u.shape[0] != 3:
-        raise ShapeError(f"expected [3, D, D, D], got {u.shape}")
-    D = u.shape[1]
-    k1 = 2.0j * np.pi * np.fft.fftfreq(D, 1.0 / D) / D
-    div = (
-        np.fft.fftn(u[0]) * k1[:, None, None]
-        + np.fft.fftn(u[1]) * k1[None, :, None]
-        + np.fft.fftn(u[2]) * k1[None, None, :]
-    )
-    return float(np.max(np.abs(div)))
-
-
 # ---------------------------------------------------------------------------
 # downsampling
 
 
-def downsample_mean(x: np.ndarray, factor: int = 4, spatial: int = 3) -> np.ndarray:
-    """Non-overlapping block mean over the trailing ``spatial`` axes.
+def downsample_mean(x: np.ndarray, factor: int = 4) -> np.ndarray:
+    """Non-overlapping block mean over the trailing three axes.
 
-    Power-of-two factors reduce by repeated pairwise halving, which keeps
-    constant regions exactly constant; other factors use a reshape mean.
-    Preserves the input float dtype.
+    ``factor`` must be a power of two: the mean is taken by repeated pairwise
+    halving, which keeps constant regions exactly constant. Preserves the
+    input float dtype; factor 1 returns the input as is.
     """
     a = np.asarray(x)
     if a.dtype not in (np.float32, np.float64):
         a = a.astype(np.float64)
     factor = int(factor)
-    if factor < 1:
-        raise ConfigError(f"factor must be >= 1, got {factor}")
-    if spatial < 1 or spatial > a.ndim:
-        raise ShapeError(f"cannot take {spatial} spatial axes from shape {a.shape}")
-    axes = range(a.ndim - spatial, a.ndim)
+    if factor < 1 or factor & (factor - 1):
+        raise ConfigError(f"factor must be a power of two, got {factor}")
+    if a.ndim < 3:
+        raise ShapeError(f"cannot take 3 spatial axes from shape {a.shape}")
+    axes = range(a.ndim - 3, a.ndim)
     for ax in axes:
         if a.shape[ax] % factor != 0:
             raise ShapeError(
                 f"axis {ax} extent {a.shape[ax]} not divisible by factor {factor}"
             )
-    if factor == 1:
-        return a.copy()
-    if factor & (factor - 1) == 0:
-        out = a
-        f = factor
-        while f > 1:
-            for ax in axes:
-                lo = [slice(None)] * out.ndim
-                hi = [slice(None)] * out.ndim
-                lo[ax] = slice(0, None, 2)
-                hi[ax] = slice(1, None, 2)
-                out = 0.5 * (out[tuple(lo)] + out[tuple(hi)])
-            f //= 2
-        return out
-    base = a.ndim - spatial
-    shape = list(a.shape[:base])
-    for ax in axes:
-        shape.extend([a.shape[ax] // factor, factor])
-    rolled = a.reshape(shape)
-    return rolled.mean(axis=tuple(base + 1 + 2 * i for i in range(spatial)))
+    out = a
+    for _ in range(factor.bit_length() - 1):
+        for ax in axes:
+            head = (slice(None),) * ax
+            lo, hi = head + (slice(0, None, 2),), head + (slice(1, None, 2),)
+            out = 0.5 * (out[lo] + out[hi])
+    return out

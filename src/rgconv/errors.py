@@ -33,7 +33,7 @@ class Rgt1Error(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became NaN or infinite. Carries the epoch at which it happened."""
+    """A loss or a parameter became NaN or infinite. Carries the epoch."""
 
     def __init__(self, epoch: int, message: str = ""):
         super().__init__(message or f"training diverged at epoch {epoch}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -118,6 +118,19 @@ class GridActionCache:
     @property
     def volume(self) -> int:
         return self.size ** self.group.dim
+
+    @cached_property
+    def kernel_gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """Joint permutations of a group kernel's flattened ``(H', K)`` axes:
+        ``idx[h, j K + t] = sigma[h, j] K + pi[h, t]`` and its inverse
+        ``inv[h, a K + b] = sigma_inv[h, a] K + pi_inv[h, b]``. Built once,
+        so a training step allocates no index tables."""
+        K = self.pi.shape[1]
+
+        def joint(rows, cols):
+            return (rows[:, :, None] * K + cols[:, None, :]).reshape(len(rows), -1)
+
+        return joint(self.sigma, self.pi), joint(self.sigma_inv, self.pi_inv)
 
 
 @dataclass(frozen=True)

@@ -195,13 +195,7 @@ class RelaxedGConvLayer(_GroupLayer):
         B, D = x.shape[0], x.shape[3:]
         S = (self.kernel_size,) * d
 
-        kt = transform_group_kernel(
-            self.kernels,
-            self.cache.sigma,
-            self.cache.pi,
-            self.cache.sigma_inv,
-            self.cache.pi_inv,
-        )  # [H, L, Co, Ci, H', K]
+        kt = transform_group_kernel(self.kernels, self.cache)  # [H, L, Co, Ci, H', K]
         kt = reshape(kt, (H * L * Co, Ci * H) + S)
         y = conv_nd(reshape(x, (B, Ci * H) + D), kt, padding=self.padding)
         y = sum_(mul(reshape(y, (B, H, L, Co) + D), self._w_rows(1 + d)), axes=(2,))

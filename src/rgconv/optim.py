@@ -31,30 +31,26 @@ class OptimizerState:
     v: list = field(default_factory=list)
 
 
-def make_optimizer(kind: str, lr: float, **kwargs) -> OptimizerState:
+def make_optimizer(kind: str, lr: float) -> OptimizerState:
     if kind not in ("sgd", "adam"):
         raise ConfigError(f"unknown optimizer kind {kind!r}")
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    return OptimizerState(kind=kind, lr=lr, **kwargs)
+    return OptimizerState(kind=kind, lr=lr)
 
 
-def optimizer_step(state: OptimizerState, params: list[Tensor], grads=None) -> None:
-    """Apply one in-place update. ``grads`` defaults to each ``param.grad``."""
-    if grads is None:
-        grads = [p.grad for p in params]
-    if len(grads) != len(params):
-        raise ShapeError("gradient list does not match parameter list")
-    for p, g in zip(params, grads):
-        if g is None:
+def optimizer_step(state: OptimizerState, params: list[Tensor]) -> None:
+    """Apply one in-place update from each ``param.grad``."""
+    for p in params:
+        if p.grad is None:
             raise ShapeError("missing gradient; run backward with params first")
-        if np.shape(g) != p.shape:
-            raise ShapeError(f"gradient shape {np.shape(g)} != parameter {p.shape}")
+        if p.grad.shape != p.shape:
+            raise ShapeError(f"gradient shape {p.grad.shape} != parameter {p.shape}")
 
     state.step_count += 1
     if state.kind == "sgd":
-        for p, g in zip(params, grads):
-            p.data -= state.lr * g
+        for p in params:
+            p.data -= state.lr * p.grad
         return
 
     if not state.m:
@@ -65,7 +61,8 @@ def optimizer_step(state: OptimizerState, params: list[Tensor], grads=None) -> N
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for i, p in enumerate(params):
+        g = p.grad
         state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
         state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
         m_hat = state.m[i] / bc1

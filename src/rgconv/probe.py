@@ -197,14 +197,13 @@ def _relaxed_weight_layers(layers) -> list:
     return picked
 
 
-def weight_report(layers, tau: float | None = None, csv_dir=None) -> SymmetryReport:
+def weight_report(layers, tau: float | None = None) -> SymmetryReport:
     """Summarize relaxed weights across layers into a SymmetryReport.
 
     Deviation d(g) = max over layers and banks of |w_l(g) - w_l(e)|. The
     default threshold is tau = max(1e-6, 0.05 * max_g d(g)); raw deviations
-    are always included so borderline calls can be audited. When ``csv_dir``
-    is given the weight, irrep and summary tables are written there. A NaN
-    or infinite weight raises :class:`DataError` naming its layer and element.
+    are always included so borderline calls can be audited. A NaN or
+    infinite weight raises :class:`DataError` naming its layer and element.
     """
     picked = _relaxed_weight_layers(layers)
     group = picked[0].group
@@ -248,7 +247,7 @@ def weight_report(layers, tau: float | None = None, csv_dir=None) -> SymmetryRep
                 acc[name] += p
         powers.append(acc)
 
-    report = SymmetryReport(
+    return SymmetryReport(
         group=group,
         layer_names=names,
         weights=weights,
@@ -259,9 +258,6 @@ def weight_report(layers, tau: float | None = None, csv_dir=None) -> SymmetryRep
         subgroup=frozenset(kept),
         irrep_powers=powers,
     )
-    if csv_dir is not None:
-        write_report_csv(report, csv_dir)
-    return report
 
 
 def write_report_csv(report: SymmetryReport, out_dir) -> list[str]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -34,12 +33,12 @@ _MAX_RANK = 8
 _MAX_NAME = 64
 
 
-def write_rgt1(path, tensors, atomic: bool = False) -> None:
-    """Write named arrays to an RGT1 container.
+def write_rgt1(path, tensors) -> None:
+    """Write named arrays to an RGT1 container, atomically.
 
     ``tensors`` is a dict or an iterable of (name, array) pairs; insertion
-    order is preserved in the file. With ``atomic`` the bytes land under a
-    temporary name first and are renamed into place.
+    order is preserved in the file. The bytes land under a temporary name
+    first and are renamed into place, so a reader never sees a partial file.
     """
     items = list(tensors.items()) if isinstance(tensors, dict) else list(tensors)
     seen = set()
@@ -68,20 +67,15 @@ def write_rgt1(path, tensors, atomic: bool = False) -> None:
         chunks.append(np.ascontiguousarray(le).tobytes())
     blob = b"".join(chunks)
 
-    path = os.fspath(path)
-    if atomic:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    else:
-        with open(path, "wb") as fh:
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
             fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class _Reader:

@@ -1,9 +1,10 @@
-"""Training loops, model assembly from configs, and checkpointing.
+"""The training loop, model assembly from configs, and checkpointing.
 
-Discovery tasks train full-batch with MSE on a single (input, target) pair;
-super-resolution trains on minibatches with L1. Both loops are deterministic
-given the config seed. Checkpoints are an RGT1 container of named parameters
-plus a JSON manifest; both are written atomically.
+Both task families train through one shuffled minibatch loop: discovery
+tasks on their single (input, target) pair with MSE, so every step is
+full-batch, and super-resolution on the flow splits with L1. Training is
+deterministic given the config seed. Checkpoints are an RGT1 container of
+named parameters plus a JSON manifest; both are written atomically.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .autodiff import Tensor, backward, loss, no_grad, tensor, zero_grads
 from .config import DISCOVERY_TASKS, SUPERRES_TASKS, ExperimentConfig
-from .convops import upsample_linear
 from .data import Dataset, gen_flow_dataset, gen_perovskite, gen_shape2d, rasterize
 from .errors import ConfigError, ShapeError, TrainingDiverged
 from .groups import build_group
@@ -124,9 +124,27 @@ def load_flow_dataset(config: ExperimentConfig) -> Dataset:
 
 
 def trilinear_upsample(x: np.ndarray, factor: int = 4) -> np.ndarray:
-    """Corner-aligned linear interpolation of the trailing spatial axes."""
-    with no_grad():
-        return upsample_linear(tensor(x[None]), factor).data[0]
+    """Separable linear upsampling of the spatial axes of ``[C, *D]`` by
+    ``factor``. Endpoints map to endpoints (align-corners convention), so
+    constant fields stay exactly constant and linear ramps stay linear.
+    """
+    out = np.asarray(x)
+    if out.dtype not in (np.float32, np.float64):
+        out = out.astype(np.float64)
+    if factor < 1:
+        raise ConfigError(f"upsampling factor must be positive, got {factor}")
+    if out.ndim not in (3, 4):
+        raise ShapeError(f"expected [C, *spatial] input, got shape {out.shape}")
+    for ax in range(1, out.ndim):
+        n = out.shape[ax]
+        m = n * factor
+        pos = np.zeros(m) if n == 1 else np.arange(m) * (n - 1) / (m - 1)
+        i0 = np.floor(pos).astype(np.int64)
+        i1 = np.minimum(i0 + 1, n - 1)
+        w = (pos - i0).astype(out.dtype).reshape((-1,) + (1,) * (out.ndim - 1 - ax))
+        x0, x1 = out.take(i0, axis=ax), out.take(i1, axis=ax)
+        out = x0 + w * (x1 - x0)  # keeps constant inputs exactly constant
+    return out
 
 
 def eval_l1(predict, samples, dtype=np.float64) -> float:
@@ -156,38 +174,18 @@ def _check_finite(value: float, epoch: int) -> float:
     return value
 
 
-def _train_discovery(config: ExperimentConfig, model: Network) -> TrainStats:
-    x, y = discovery_pair(config)
-    dtype = _dtype_of(config)
-    xb = tensor(x[None].astype(dtype))
-    yb = tensor(y[None].astype(dtype))
-    params = model.params()
-    opt = make_optimizer(config.optimizer, config.lr)
-    stats = TrainStats()
-    t0 = time.perf_counter()
-    for epoch in range(config.epochs):
-        zero_grads(params)
-        value = loss("mse", model(xb), yb)
-        backward(value, params=params)
-        optimizer_step(opt, params)
-        stats.train_losses.append(_check_finite(float(value.data), epoch))
-        stats.final_epoch = epoch
-    stats.wall_time = time.perf_counter() - t0
-    stats.report = weight_report(model.weight_layers())
-    return stats
-
-
 def _batch(samples, idx, dtype) -> tuple[Tensor, Tensor]:
     xs = np.stack([np.asarray(samples[i][0], dtype=dtype) for i in idx])
     ys = np.stack([np.asarray(samples[i][1], dtype=dtype) for i in idx])
     return tensor(xs), tensor(ys)
 
 
-def _train_superres(config: ExperimentConfig, model: Network) -> TrainStats:
-    data = load_flow_dataset(config)
-    train_set, val_set = data.train, data.val
+def _fit(config: ExperimentConfig, model: Network, train_set, val_set, test_set,
+         loss_kind: str) -> TrainStats:
+    """Shuffled minibatch training; a NaN or Inf in a step's loss or in any
+    parameter after its update raises :class:`TrainingDiverged` at once."""
     if not train_set:
-        raise ConfigError("flow dataset has no training samples")
+        raise ConfigError("no training samples")
     dtype = _dtype_of(config)
     params = model.params()
     opt = make_optimizer(config.optimizer, config.lr)
@@ -202,19 +200,22 @@ def _train_superres(config: ExperimentConfig, model: Network) -> TrainStats:
             idx = order[start : start + config.batch_size]
             xb, yb = _batch(train_set, idx, dtype)
             zero_grads(params)
-            value = loss("l1", model(xb), yb)
+            value = loss(loss_kind, model(xb), yb)
             backward(value, params=params)
             optimizer_step(opt, params)
-            loss_sum += float(value.data) * len(idx)
-        stats.train_losses.append(_check_finite(loss_sum / len(order), epoch))
+            step_loss = _check_finite(float(value.data), epoch)
+            if not all(np.isfinite(p.data).all() for p in params):
+                raise TrainingDiverged(epoch)
+            loss_sum += step_loss * len(idx)
+        stats.train_losses.append(loss_sum / len(order))
         if val_set:
             stats.val_losses.append(
                 _check_finite(eval_l1(predict, val_set, dtype), epoch)
             )
         stats.final_epoch = epoch
     stats.wall_time = time.perf_counter() - t0
-    if data.test:
-        stats.test_mae = eval_l1(predict, data.test, dtype)
+    if test_set:
+        stats.test_mae = eval_l1(predict, test_set, dtype)
     if model.weight_layers():
         stats.report = weight_report(model.weight_layers())
     return stats
@@ -225,9 +226,10 @@ def train(config: ExperimentConfig) -> tuple[Network, TrainStats]:
     config.validate()
     model = build_model(config).init(config.seed)
     if config.task in SUPERRES_TASKS:
-        stats = _train_superres(config, model)
+        data = load_flow_dataset(config)
+        stats = _fit(config, model, data.train, data.val, data.test, "l1")
     else:
-        stats = _train_discovery(config, model)
+        stats = _fit(config, model, [discovery_pair(config)], [], [], "mse")
     if config.out_dir:
         save_checkpoint(config.out_dir, model, config, stats)
     return model, stats
@@ -242,8 +244,7 @@ def save_checkpoint(out_dir, model: Network, config: ExperimentConfig,
     """Write checkpoint.rgt1 + checkpoint.json (and report CSVs) atomically."""
     os.makedirs(out_dir, exist_ok=True)
     ck_path = os.path.join(out_dir, "checkpoint.rgt1")
-    write_rgt1(ck_path, [(name, t.data) for name, t in model.named_params()],
-               atomic=True)
+    write_rgt1(ck_path, [(name, t.data) for name, t in model.named_params()])
     manifest = {
         "config": config.to_dict(),
         "param_count": param_count(model),

@@ -19,7 +19,6 @@ from rgconv.convops import (
     stuffed_conv_nd,
     take_last,
     transform_group_kernel,
-    upsample_linear,
     zero_stuff,
 )
 from rgconv.errors import ShapeError
@@ -315,7 +314,7 @@ def test_take_last_semantics_and_grad():
     cache = G.grid_cache(3)
     rng = np.random.default_rng(9)
     k = parameter(rng.normal(size=(2, 9)))
-    out = take_last(k, cache.pi)
+    out = take_last(k, cache.pi, cache.pi_inv)
     assert out.shape == (4, 2, 9)
     for h in range(4):
         for t in range(9):
@@ -329,7 +328,7 @@ def test_transform_group_kernel_semantics_and_grad():
     cache = G.grid_cache(3)
     rng = np.random.default_rng(10)
     k = parameter(rng.normal(size=(2, 3, 4, 9)))  # [Co, Ci, H, K]
-    out = transform_group_kernel(k, cache.sigma, cache.pi)
+    out = transform_group_kernel(k, cache)
     assert out.shape == (4, 2, 3, 4, 9)
     for h in range(4):
         for j in range(4):
@@ -340,26 +339,5 @@ def test_transform_group_kernel_semantics_and_grad():
                 )
     w = tensor(rng.normal(size=(4, 2, 3, 4, 9)))
     check_grad(
-        lambda: sum_(mul(transform_group_kernel(k, cache.sigma, cache.pi), w)), k
+        lambda: sum_(mul(transform_group_kernel(k, cache), w)), k
     )
-
-
-def test_upsample_linear_exactness():
-    const = tensor(np.full((1, 2, 3, 3), 7.25))
-    up = upsample_linear(const, 4)
-    assert up.shape == (1, 2, 12, 12)
-    assert np.array_equal(up.data, np.full((1, 2, 12, 12), 7.25))
-
-    ramp = tensor(np.arange(5.0)[None, None, :, None] * np.ones((1, 1, 5, 5)))
-    up2 = upsample_linear(ramp, 2)
-    # endpoints preserved, interior linear in the continuous coordinate
-    got = up2.data[0, 0, :, 0]
-    expect = np.arange(10) * 4.0 / 9.0
-    assert np.allclose(got, expect, atol=1e-12)
-
-
-def test_upsample_linear_grad_3d():
-    rng = np.random.default_rng(11)
-    x = parameter(rng.normal(size=(1, 1, 2, 2, 2)))
-    w = tensor(rng.normal(size=(1, 1, 4, 4, 4)))
-    check_grad(lambda: sum_(mul(upsample_linear(x, 2), w)), x)

@@ -29,6 +29,7 @@ from rgconv import (
     rasterize,
     transform_grid,
     weight_report,
+    write_report_csv,
 )
 
 C4 = build_group("cyclic_2d(4)")
@@ -218,7 +219,8 @@ def test_weight_report_csv_output(tmp_path):
         ly.w.data[:, ids["g"]] = 0.0
         ly.w.data[:, ids["g3"]] = 0.0
     out = str(tmp_path)
-    rep = weight_report(net.weight_layers(), csv_dir=out)
+    rep = weight_report(net.weight_layers())
+    write_report_csv(rep, out)
     for fname in ("weights.csv", "irreps.csv", "summary.csv"):
         assert os.path.exists(os.path.join(out, fname))
 
@@ -247,7 +249,7 @@ def test_weight_report_csv_output(tmp_path):
 
 def test_report_csv_golden_bytes(tmp_path):
     # hand-built report with exactly representable numbers, frozen byte-level
-    from rgconv.probe import SymmetryReport, write_report_csv
+    from rgconv.probe import SymmetryReport
 
     rep = SymmetryReport(
         group=C4,

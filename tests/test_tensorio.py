@@ -106,8 +106,8 @@ def test_read_rejects_unknown_dtype_and_trailing_bytes(tmp_path):
 
 def test_atomic_write_replaces_not_appends(tmp_path):
     p = os.path.join(str(tmp_path), "t.rgt1")
-    write_rgt1(p, {"a": np.zeros(100)}, atomic=True)
-    write_rgt1(p, {"a": np.zeros(2)}, atomic=True)
+    write_rgt1(p, {"a": np.zeros(100)})
+    write_rgt1(p, {"a": np.zeros(2)})
     out = read_rgt1(p)
     assert out["a"].shape == (2,)
     assert [f for f in os.listdir(str(tmp_path)) if f != "t.rgt1"] == []

@@ -150,6 +150,18 @@ def test_divergence_raises_with_epoch():
     assert ei.value.epoch < 50
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_in_the_weights_raises_at_that_step(tmp_path):
+    # the one step's loss is finite, but its update overflows the f32
+    # weights; training stops there and writes no checkpoint
+    c = cfg(task="square_to_rectangle", epochs=1, optimizer="sgd", lr=1e300,
+            precision="f32", out_dir=str(tmp_path))
+    with pytest.raises(TrainingDiverged) as ei:
+        train(c)
+    assert ei.value.epoch == 0
+    assert not os.path.exists(os.path.join(str(tmp_path), "checkpoint.rgt1"))
+
+
 def test_superres_stats_fields():
     model, stats = train(cfg(**SMALL_FLOW))
     assert len(stats.train_losses) == 2
@@ -252,6 +264,18 @@ def test_trilinear_upsample_shape_and_constant():
     up = trilinear_upsample(x, 4)
     assert up.shape == (3, 16, 16, 16)
     assert np.allclose(up, 2.5)
+
+
+def test_trilinear_upsample_exactness():
+    const = np.full((2, 3, 3), 7.25)
+    up = trilinear_upsample(const, 4)
+    assert up.shape == (2, 12, 12)
+    assert np.array_equal(up, np.full((2, 12, 12), 7.25))
+
+    ramp = np.arange(5.0)[None, :, None] * np.ones((1, 5, 5))
+    up2 = trilinear_upsample(ramp, 2)
+    # endpoints preserved, interior linear in the continuous coordinate
+    assert np.allclose(up2[0, :, 0], np.arange(10) * 4.0 / 9.0, atol=1e-12)
 
 
 def test_eval_l1_hand_value():
