@@ -29,6 +29,7 @@ ALL_TASKS = DISCOVERY_TASKS + SUPERRES_TASKS
 _LAYER_KINDS = ("conv", "equiv", "relaxed_equiv")
 _OPTIMIZERS = ("sgd", "adam")
 _PRECISIONS = ("f64", "f32")
+_F32_MAX = 3.4028234663852886e38  # the largest finite float32
 
 
 # field annotation -> (what a value must be, check); bool is never accepted
@@ -112,6 +113,9 @@ class ExperimentConfig:
             raise ConfigError(f"optimizer must be one of {_OPTIMIZERS}")
         if self.precision not in _PRECISIONS:
             raise ConfigError(f"precision must be one of {_PRECISIONS}")
+        if self.precision == "f32" and self.lr > _F32_MAX:
+            # the update would scale f32 gradients by inf
+            raise ConfigError(f"lr must be at most {_F32_MAX:.6g} at f32, got {self.lr}")
         if self.task in DISCOVERY_TASKS and self.layer_kind == "conv":
             raise ConfigError("discovery tasks need group layers, not conv")
         if self.match_params and self.layer_kind != "conv":

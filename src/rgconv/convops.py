@@ -12,18 +12,23 @@ Inner loops, by kernel shape:
   copy of the input window at that offset;
 - depthwise convs (one input and one output channel per group, as in the
   separable layer's spatial stage) run a broadcast multiply-add per offset;
-- ``stuffed_conv_nd`` runs one batched matmul per (output phase, tap).
+- ``stuffed_conv_nd`` (the stride-2 transposed conv) runs one sub-pixel GEMM
+  per chunk of groups (Shi et al., CVPR 2016): the ``2^d`` one-voxel shifts
+  of the input are stacked along K, the 3-stencil's taps are scattered into
+  a ``[2^d Ci, Co 2^d]`` kernel that maps them to the ``2^d`` output phases,
+  and the result's two last-axis phases of a voxel are written as one float
+  pair. Its backward reads ``g`` once per phase and runs the two transposed
+  GEMMs.
 
 The last two read flat windows: the padded input is flattened over its
 spatial axes, so the input at offset ``o`` from every output voxel is one
-contiguous slice, read in place. Its junk columns (voxels past the edge) are
-dropped when the output is written. A conv whose input is data (no tape node
-and no ``requires_grad``) pulls no input gradient.
+contiguous slice, read in place (depthwise) or copied once into the stack
+(sub-pixel). Its junk columns (voxels past the edge) are dropped when the
+output is written. A conv whose input is data (no tape node and no
+``requires_grad``) pulls no input gradient.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -232,105 +237,192 @@ def zero_stuff(x: Tensor, factor: int = 2) -> Tensor:
     return record("zero_stuff", out, (x,), pull)
 
 
-def _phase_taps(d: int):
-    """Tap bookkeeping for correlating a 2x zero-stuffed signal with an
-    S=3 stencil: output parity class ``phi`` only ever meets the stuffed
-    signal's nonzero samples at stencil offsets of matching parity, so each
-    (phase, tap) pair reduces to a pointwise product with the unstuffed
-    input shifted by 0 or 1 per axis. Yields the phase's slice of the output
-    and its ``(flat tap, shift)`` pairs.
+def _phase_table(d: int) -> np.ndarray:
+    """Flat stencil tap of each (output phase, input shift) pair, or -1.
+
+    Correlating a 2x zero-stuffed signal with an S=3 stencil, output voxel
+    ``2v + p`` (per axis) meets nonzero stuffed samples only at taps of
+    matching parity: phase 0 reads ``x[v]`` at tap 1, phase 1 reads ``x[v]``
+    at tap 0 and ``x[v + 1]`` at tap 2. Row ``phi``, column ``s`` (both
+    row-major over ``{0, 1}^d``) holds the tap that joins output phase
+    ``phi`` to the input shifted by ``s``; every tap appears exactly once.
     """
-    strides = [3 ** (d - 1 - a) for a in range(d)]
-    for phi in np.ndindex(*(2,) * d):
-        taps = []
-        for combo in itertools.product(*[(1,) if p == 0 else (0, 2) for p in phi]):
-            flat = sum(c * s for c, s in zip(combo, strides))
-            shift = tuple((c - 1 + p) // 2 for c, p in zip(combo, phi))
-            taps.append((flat, shift))
-        yield (Ellipsis,) + tuple(slice(p, None, 2) for p in phi), taps
+    per_axis = np.array([[1, -1], [0, 2]])  # [phase][shift] -> tap on one axis
+    bits = np.array(list(np.ndindex(*(2,) * d)))
+    taps = per_axis[bits[:, None], bits[None, :]]  # [phi, s, axis]
+    flat = taps @ 3 ** np.arange(d - 1, -1, -1)
+    return np.where((taps >= 0).all(axis=-1), flat, -1)
 
 
-def _stuffed_windows(x: np.ndarray, k: np.ndarray, groups: int):
-    """``x`` padded once, circularly, by one voxel on the high side of each
-    axis and flattened to ``[B, G, C_in, P]``: shift ``s`` of the input
-    (``x[v + s]``, wrapping) is then the flat window ``[off[s], off[s] + n)``,
-    which ``matmul`` reads in place. Kernel taps come first: ``[T, G, Co, Ci]``.
+def _subpixel_kernel(k: np.ndarray, groups: int) -> np.ndarray:
+    """``[G, 2^d * Ci, Co * 2^d]`` GEMM kernel: rows ``(shift, ci)``, columns
+    ``(co, phase)``, tap ``_phase_table[phase, shift]`` and zero where the
+    pair meets no tap."""
+    d = k.ndim - 2
+    kg = k.reshape(groups, k.shape[0] // groups, k.shape[1], -1)
+    # an appended zero tap: the table's -1 entries read it
+    kg = np.concatenate([kg, np.zeros(kg.shape[:3] + (1,), kg.dtype)], axis=-1)
+    w = kg[..., _phase_table(d)].transpose(0, 4, 2, 1, 3)  # [G, s, Ci, Co, phi]
+    return np.ascontiguousarray(w).reshape(groups, 2**d * k.shape[1], -1)
+
+
+def _subpixel_kernel_grad(gw: np.ndarray, k_shape) -> np.ndarray:
+    """The kernel gradient: the valid blocks of a ``_subpixel_kernel``
+    gradient, one per tap."""
+    d, G = len(k_shape) - 2, gw.shape[0]
+    Ci, Co = k_shape[1], k_shape[0] // G
+    gw = gw.reshape(G, 2**d, Ci, Co, 2**d).transpose(0, 3, 2, 4, 1)  # [G, Co, Ci, phi, s]
+    table = _phase_table(d)
+    gk = np.empty(gw.shape[:3] + (3**d,), dtype=gw.dtype)
+    gk[..., table[table >= 0]] = gw[..., table >= 0]
+    return gk.reshape(k_shape)
+
+
+class _Subpixel:
+    """Shared set-up of the sub-pixel forward and backward.
+
+    ``xf`` is ``x`` padded once, circularly, by one voxel on the high side of
+    each axis and laid out ``[G, Ci, B * P]``: item ``b + 1`` starts ``P``
+    entries after item ``b``, so shift ``s`` of the whole batch is the flat
+    window ``[off[s], off[s] + m)``. Its junk columns (voxels past the edge)
+    are dropped by ``interior``. ``w`` is the ``_subpixel_kernel``.
+
+    The batch is folded into the GEMM rows, and the work runs in chunks of
+    ``gc`` groups: as many as keep the stacked windows and the GEMM result
+    (``2^d * (Ci + Co)`` values per padded voxel, item and group) within
+    ``min(Ci, Co)`` values per voxel of the whole input, and at least one.
     """
-    d = x.ndim - 2
-    xp = _pad_spatial(x, [(0, 1)] * d, "circular")
-    shifts = list(np.ndindex(*(2,) * d))
-    offsets, n = _flat_windows(xp.shape[2:], x.shape[2:], shifts)
-    xf = xp.reshape((x.shape[0], groups, k.shape[1], -1))
-    kt = np.moveaxis(k.reshape(groups, k.shape[0] // groups, k.shape[1], -1), -1, 0)
-    return xf, xp.shape[2:], dict(zip(shifts, offsets)), n, np.ascontiguousarray(kt)
+
+    def __init__(self, x: np.ndarray, k: np.ndarray, groups: int):
+        d = x.ndim - 2
+        xp = _pad_spatial(x.swapaxes(0, 1), [(0, 1)] * d, "circular")
+        self.B, self.D, self.d, self.padded = x.shape[0], x.shape[2:], d, xp.shape[2:]
+        offsets, n = _flat_windows(self.padded, self.D, np.ndindex(*(2,) * d))
+        self.P = int(np.prod(self.padded))
+        self.offsets, self.m = offsets, (self.B - 1) * self.P + n
+        self.xf = xp.reshape(groups, x.shape[1] // groups, -1)
+        self.w = _subpixel_kernel(k, groups)
+        G, K, N = self.w.shape
+        self.Ci, self.Co = K >> d, N >> d
+        self.gc = max(1, G * min(self.Ci, self.Co) // (K + N))
+
+    def chunks(self, dtype):
+        """Yield ``(gs, stack)`` per chunk: its group slice and the ``2^d``
+        windows of its groups stacked along K, ``[gn, K, m]`` with rows
+        ``(shift, ci)``. ``stack`` is one buffer, reused."""
+        G, K, _ = self.w.shape
+        buf = np.empty((self.gc, 2**self.d, self.Ci, self.m), dtype=dtype)
+        for g0 in range(0, G, self.gc):
+            gs = slice(g0, min(g0 + self.gc, G))
+            stack = buf[: gs.stop - g0]
+            for j, off in enumerate(self.offsets):
+                stack[:, j] = self.xf[gs, :, off : off + self.m]
+            yield gs, stack.reshape(-1, K, self.m)
+
+    def interior(self, a: np.ndarray) -> np.ndarray:
+        """``[..., B * P]`` viewed as ``[..., B, *D]``."""
+        return _interior(a.reshape(a.shape[:-1] + (self.B, self.P)), self.padded, self.D)
+
+
+def _pair(dtype) -> np.dtype:
+    """A complex type that moves two floats of ``dtype`` as one value."""
+    return np.dtype(f"c{2 * np.dtype(dtype).itemsize}")
 
 
 def _stuffed_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
-    xf, padded, off, n, kt = _stuffed_windows(x, k, groups)
-    B, D, (_, G, Co, _) = x.shape[0], x.shape[2:], kt.shape
-    up = tuple(2 * m for m in D)
-    dtype = np.result_type(x, k)
-    out = np.empty((B, G, Co) + up, dtype=dtype)
-    acc = np.empty((B, G, Co, xf.shape[-1]), dtype=dtype)
-    head, tmp = acc[..., :n], np.empty((B, G, Co, n), dtype=dtype)
-    for sl, taps in _phase_taps(len(D)):
-        for i, (t, s) in enumerate(taps):
-            np.matmul(kt[t], xf[..., off[s] : off[s] + n], out=tmp if i else head)
-            if i:
-                head += tmp
-        out[sl] = _interior(acc, padded, D)  # this phase's voxels, once
-    return out.reshape((B, G * Co) + up)
+    sp = _Subpixel(x, k, groups)
+    B, D, d, w, m = sp.B, sp.D, sp.d, sp.w, sp.m
+    G, _, N = w.shape
+    out = np.empty((B, G, sp.Co) + tuple(2 * n for n in D), dtype=np.result_type(x, k))
+    # out as float pairs along the last axis, each axis split into (v, phase):
+    # [B, G, Co, D0, 2, ..., D_{d-1}]
+    pairs = out.view(_pair(out.dtype)).reshape(
+        (B, G, sp.Co) + sum(((n, 2) for n in D[:-1]), ()) + D[-1:]
+    )
+    # GEMM rows are padded voxels, columns (co, phase), so the two phases of
+    # the last axis sit side by side; [g, co, p_0 .. p_{d-2}, b, *v] moves to
+    # the order of ``pairs``
+    order = [d + 1, 0, 1] + sum(([d + 2 + a, 2 + a] for a in range(d - 1)), []) + [2 * d + 1]
+    r_buf = np.empty((sp.gc, B * sp.P, N), dtype=out.dtype)
+    for gs, stack in sp.chunks(x.dtype):
+        r = r_buf[: stack.shape[0]]
+        np.matmul(stack.swapaxes(1, 2), w[gs], out=r[:, :m])
+        r = r.view(_pair(r.dtype)).reshape(r.shape[:2] + (sp.Co,) + (2,) * (d - 1))
+        pairs[:, gs] = sp.interior(np.moveaxis(r, 1, -1)).transpose(order)
+    return out.reshape((B, G * sp.Co) + out.shape[3:])
 
 
 def _stuffed_bwd(
     g: np.ndarray, x: np.ndarray, k: np.ndarray, groups: int, want_gx: bool
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    xf, padded, off, n, kt = _stuffed_windows(x, k, groups)
-    B, D, (_, G, Co, Ci) = x.shape[0], x.shape[2:], kt.shape
-    gr = g.reshape((B, G, Co) + tuple(2 * m for m in D))
-    # one phase of g at a time in the padded layout, zero on the junk columns
-    gp = np.zeros((B, G, Co, xf.shape[-1]), dtype=g.dtype)
-    g_in, gn = _interior(gp, padded, D), gp[..., :n]
-    gk = np.zeros(kt.shape, dtype=np.result_type(g, x))
+    sp = _Subpixel(x, k, groups)
+    B, D, d, w, m = sp.B, sp.D, sp.d, sp.w, sp.m
+    G, _, N = w.shape
+    # g split per axis into (v, phase): [B, G, Co, D0, 2, ..., D_{d-1}, 2]
+    gv = g.reshape((B, G, sp.Co) + sum(((n, 2) for n in D), ()))
+    gw = np.zeros(w.shape, dtype=np.result_type(g, x))
     if want_gx:
-        ktt = np.ascontiguousarray(kt.swapaxes(-1, -2))
-        dtype = np.result_type(g, k)
-        gxp = np.zeros((B, G, Ci, xf.shape[-1]), dtype=dtype)
-        tmp = np.empty((B, G, Ci, n), dtype=dtype)
-    for sl, taps in _phase_taps(len(D)):
-        g_in[...] = gr[sl]
-        for t, s in taps:
-            gk[t] += (gn @ xf[..., off[s] : off[s] + n].swapaxes(-1, -2)).sum(axis=0)
-            if want_gx:
-                np.matmul(ktt[t], gn, out=tmp)
-                gxp[..., off[s] : off[s] + n] += tmp
-    gk = np.moveaxis(gk, 0, -1).reshape(k.shape)
+        gxp = np.zeros(sp.xf.shape, dtype=np.result_type(g, k))
+    # g phase-major in the padded layout, [gc, (co, phase), B * P], zero on
+    # the junk columns: a strided read per phase, which runs faster than
+    # writing GEMM rows of pairs
+    gr_buf = np.zeros((sp.gc, N, B * sp.P), dtype=g.dtype)
+    for gs, stack in sp.chunks(np.result_type(x, k, g)):
+        gr = gr_buf[: stack.shape[0]]
+        dst = sp.interior(gr.reshape(gr.shape[0], sp.Co, 2**d, -1))
+        for i, phi in enumerate(np.ndindex(*(2,) * d)):
+            src = gv[(slice(None), gs, slice(None)) + sum(((slice(None), p) for p in phi), ())]
+            dst[:, :, i] = np.moveaxis(src, 0, 2)
+        gw[gs] += stack @ gr[..., :m].swapaxes(1, 2)
+        if want_gx:
+            gst = np.matmul(w[gs], gr[..., :m], out=stack)
+            gst = gst.reshape(gst.shape[0], 2**d, sp.Ci, m)
+            for j, off in enumerate(sp.offsets):
+                gxp[gs, :, off : off + m] += gst[:, j]
+    gk = _subpixel_kernel_grad(gw, k.shape)
     if not want_gx:
         return None, gk
     # fold the wrapped high halo back onto the voxels it copies
-    v = gxp.reshape((B, G, Ci) + padded)
-    for a, m in enumerate(D):
+    v = gxp.reshape((G, sp.Ci, B) + sp.padded)
+    for a, n in enumerate(D):
         ax = (slice(None),) * (3 + a)
-        v[ax + (slice(0, 1),)] += v[ax + (slice(m, m + 1),)]
-        v = v[ax + (slice(0, m),)]
-    return v.reshape(x.shape), gk
+        v[ax + (slice(0, 1),)] += v[ax + (slice(n, n + 1),)]
+        v = v[ax + (slice(0, n),)]
+    gx = np.moveaxis(v, 2, 0).reshape(x.shape)
+    if not np.isfinite(gx).all():
+        # a non-finite g meets the GEMM kernel's zero blocks (0 * inf = nan):
+        # recompute as the composition does, a full conv taken at the samples
+        gx = _conv_fwd(g, _swap_flip_kernel(k, groups), "circular", groups)
+        gx = np.ascontiguousarray(gx[(Ellipsis,) + (slice(None, None, 2),) * d])
+    return gx, gk
 
 
 def stuffed_conv_nd(
     x: Tensor, kernel: Tensor, padding: str = "circular", groups: int = 1
 ) -> Tensor:
     """Correlate a 2x zero-stuffed input: equals
-    ``conv_nd(zero_stuff(x, 2), kernel, padding, groups)`` with the zero
-    terms skipped, so every spatial extent doubles at an eighth (3D) of the
-    dense cost. Circular 3-stencils take the fast path; anything else falls
-    back to the literal composition.
+    ``conv_nd(zero_stuff(x, 2), kernel, padding, groups)``, so every spatial
+    extent doubles.
+
+    A finite ``x`` with circular padding and a 3-stencil takes the sub-pixel
+    route: one GEMM of the ``2^d`` stacked input shifts by a
+    ``[2^d Ci, Co 2^d]`` kernel writes all ``2^d`` output phases. In 3D that
+    is 64 blocks per input voxel, 27 of them taps and the rest zero, against
+    the composition's 8 x 27. Anything else falls back to the composition.
+
+    Non-finite values land where the composition puts them. A non-finite
+    ``x`` takes the composition route. An input gradient that comes out
+    non-finite (a non-finite ``g`` times a zero block gives NaN) is
+    recomputed as the composition's. The kernel gradient sums each tap over
+    the input samples it meets only, so there, unlike in the composition, a
+    non-finite ``g`` never meets a stuffed zero.
     """
     _check_conv_args(
         x.shape[:2] + tuple(2 * n for n in x.shape[2:]), kernel.shape, groups
     )
-    if padding != "circular" or kernel.shape[2] != 3:
-        return conv_nd(zero_stuff(x, 2), kernel, padding=padding, groups=groups)
     xd, kd = x.data, kernel.data
+    if padding != "circular" or kernel.shape[2] != 3 or not np.isfinite(xd).all():
+        return conv_nd(zero_stuff(x, 2), kernel, padding=padding, groups=groups)
     want_gx = _wants_grad(x)
 
     def pull(g):

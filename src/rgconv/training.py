@@ -280,8 +280,12 @@ def load_checkpoint(path) -> tuple[Network, ExperimentConfig, dict]:
         raise ConfigError(f"missing checkpoint manifest {manifest_path}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest {manifest_path} must hold a JSON object")
     if "config" not in manifest:
         raise ConfigError(f"manifest {manifest_path} lacks a config block")
+    if not isinstance(manifest["config"], dict):
+        raise ConfigError(f"manifest {manifest_path} config must be a JSON object")
     config = ExperimentConfig.from_dict(manifest["config"])
     model = build_model(config).init(config.seed)
     blobs = read_rgt1(path)

@@ -102,6 +102,14 @@ def test_train_wrongly_typed_field_is_one_line_usage_error(tmp_path, capsys, fie
     assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
 
 
+def test_train_lr_beyond_f32_is_one_line_usage_error(tmp_path, capsys):
+    p = write_cfg(tmp_path, task="square_to_rectangle", epochs=1, lr=1e300,
+                  precision="f32")
+    assert cli(["train", "--config", p]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lr must be") and err.count("\n") == 1
+
+
 def test_end_to_end_discovery_reports_half_turn(tmp_path, capsys):
     run = os.path.join(str(tmp_path), "run")
     p = write_cfg(tmp_path, task="square_to_rectangle", epochs=400, out_dir=run)
@@ -179,6 +187,23 @@ def test_analyze_corrupt_checkpoint(tmp_path):
     json.dump(cfg, open(os.path.join(run, "checkpoint.json"), "w"))
     # valid manifest but an unreadable container is a data error
     assert cli(["analyze", "--checkpoint", run, "--out", rep]) == 2
+
+
+@pytest.mark.parametrize("manifest", [
+    "5",
+    '{"config": 5}',
+    '"my config"',
+    "[]",
+])
+def test_analyze_manifest_not_an_object_is_usage_error(tmp_path, capsys, manifest):
+    run = os.path.join(str(tmp_path), "run")
+    os.makedirs(run)
+    open(os.path.join(run, "checkpoint.rgt1"), "wb").write(b"GARBAGE")
+    open(os.path.join(run, "checkpoint.json"), "w").write(manifest)
+    rep = os.path.join(str(tmp_path), "rep")
+    assert cli(["analyze", "--checkpoint", run, "--out", rep]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -285,6 +285,116 @@ def test_stuffed_conv_fallback_routes():
     )
 
 
+def stuffed_grads(op, x, k, g, groups):
+    """``y``, ``gx`` and ``gk`` of ``op`` with upstream gradient ``g``."""
+    xt, kt = parameter(x), parameter(k)
+    y = op(xt, kt, groups=groups)
+    backward(sum_(mul(y, tensor(g))), params=[xt, kt])
+    return y.data, xt.grad, kt.grad
+
+
+def stuffed_kernel_grad_ref(g, x, k_shape, groups):
+    """Kernel gradient summed per (output phase, tap) over the input samples
+    that tap meets: along an axis, tap 1 joins phase 0 to ``x[v]``, tap 0
+    joins phase 1 to ``x[v]`` and tap 2 joins phase 1 to ``x[v + 1]``."""
+    B, d = x.shape[0], x.ndim - 2
+    Co, Ci = k_shape[0] // groups, k_shape[1]
+    gk = np.zeros(k_shape)
+    for tap in np.ndindex(*k_shape[2:]):
+        phase = tuple(slice(0 if c == 1 else 1, None, 2) for c in tap)
+        shifted = np.roll(x, [-(c == 2) for c in tap], axis=tuple(range(2, 2 + d)))
+        gp = g[(Ellipsis,) + phase].reshape(B, groups, Co, -1)
+        xs = shifted.reshape(B, groups, Ci, -1)
+        gk[(Ellipsis,) + tap] = np.einsum("bgov,bgiv->goi", gp, xs).reshape(-1, Ci)
+    return gk
+
+
+def masks(a):
+    return np.isnan(a), np.isposinf(a), np.isneginf(a)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in the composition
+@pytest.mark.parametrize("where", ["x", "g"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("xshape,kshape,at", [
+    ((2, 4, 3, 4), (6, 2, 3, 3), (1, 3, 2, 1)),
+    ((2, 4, 3, 2, 3), (4, 2, 3, 3, 3), (0, 2, 1, 1, 2)),
+])
+def test_stuffed_conv_non_finite_lands_like_composition(xshape, kshape, at, bad, where):
+    rng = np.random.default_rng(15)
+    groups = 2
+    x = rng.normal(size=xshape)
+    k = rng.normal(size=kshape)
+    g = rng.normal(size=xshape[:1] + (kshape[0],) + tuple(2 * n for n in xshape[2:]))
+    if where == "x":
+        x[at] = bad
+    else:
+        # phase 0 on every axis: its GEMM column has the most zero blocks
+        g[at[:2] + tuple(2 * i for i in at[2:])] = bad
+    fast = stuffed_grads(stuffed_conv_nd, x, k, g, groups)
+    comp = stuffed_grads(
+        lambda a, b, groups: conv_nd(zero_stuff(a, 2), b, groups=groups),
+        x, k, g, groups,
+    )
+    # a bad x reaches y, a bad g reaches gx; either reaches gk
+    assert np.isfinite(comp[0]).all() == (where == "g")
+    assert np.isfinite(comp[1]).all() == (where == "x")
+    for got, want in zip(fast[:2], comp[:2]):  # y and gx
+        for m_got, m_want in zip(masks(got), masks(want)):
+            assert np.array_equal(m_got, m_want)
+    ref = stuffed_kernel_grad_ref(g, x, kshape, groups)
+    assert not np.isfinite(ref).all()
+    for m_got, m_want in zip(masks(fast[2]), masks(ref)):
+        assert np.array_equal(m_got, m_want)
+
+
+def test_stuffed_conv_pull_takes_non_contiguous_gradient():
+    rng = np.random.default_rng(16)
+    x = parameter(rng.normal(size=(2, 4, 3, 4, 3)))
+    k = parameter(rng.normal(size=(4, 2, 3, 3, 3)))
+    y = stuffed_conv_nd(x, k, groups=2)
+    g = rng.normal(size=y.shape)
+    g_strided = np.ascontiguousarray(g.swapaxes(-1, -2)).swapaxes(-1, -2)
+    assert not g_strided.flags.c_contiguous
+    gx, gk = y.node.pull(g)
+    gx_s, gk_s = y.node.pull(g_strided)
+    y.node.tape.release()
+    assert np.array_equal(gx, gx_s) and np.array_equal(gk, gk_s)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the sum
+@pytest.mark.parametrize("case,stuffs", [
+    ("finite circular S=3", False),
+    ("non-finite input", True),
+    ("zero padding", True),
+    ("S=5", True),
+])
+def test_stuffed_conv_route(monkeypatch, case, stuffs):
+    # only the finite, circular 3-stencil case takes the sub-pixel route;
+    # every other case goes through the literal composition
+    from rgconv import convops
+
+    calls = []
+    real = convops.zero_stuff
+
+    def spy(x, factor=2):
+        calls.append(x.shape)
+        return real(x, factor)
+
+    monkeypatch.setattr(convops, "zero_stuff", spy)
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(2, 4, 5, 5))
+    S, padding = (5, "zero") if case == "S=5" else (3, "circular")
+    if case == "zero padding":
+        padding = "zero"
+    if case == "non-finite input":
+        x[0, 1, 2, 3] = np.inf
+    xt, kt = parameter(x), parameter(rng.normal(size=(4, 2, S, S)))
+    y = stuffed_conv_nd(xt, kt, padding=padding, groups=2)
+    backward(sum_(y), params=[xt, kt])
+    assert bool(calls) == stuffs
+
+
 def test_conv_transpose_doubles_and_is_adjoint():
     rng = np.random.default_rng(7)
     C1, C2, D = 2, 3, 3

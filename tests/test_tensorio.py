@@ -104,6 +104,28 @@ def test_read_rejects_unknown_dtype_and_trailing_bytes(tmp_path):
         read_rgt1(p)
 
 
+def test_every_byte_flip_reads_or_raises_rgt1_error(tmp_path):
+    # each corruption of one byte of a small file either still parses or
+    # ends in Rgt1Error; any other exception fails the sweep
+    p = os.path.join(str(tmp_path), "t.rgt1")
+    write_rgt1(p, [("a", np.arange(3.0)), ("bb", np.ones((2, 1), np.float32)),
+                   ("c", np.float64(7.0))])
+    good = open(p, "rb").read()
+    bad = os.path.join(str(tmp_path), "bad.rgt1")
+    reads = errors = 0
+    for i, byte in enumerate(good):
+        for value in sorted({0x00, 0xFF, byte ^ 0x01, byte ^ 0x80} - {byte}):
+            with open(bad, "wb") as fh:
+                fh.write(good[:i] + bytes([value]) + good[i + 1:])
+            try:
+                read_rgt1(bad)
+            except Rgt1Error:
+                errors += 1
+            else:
+                reads += 1
+    assert reads > 0 and errors > 0
+
+
 def test_atomic_write_replaces_not_appends(tmp_path):
     p = os.path.join(str(tmp_path), "t.rgt1")
     write_rgt1(p, {"a": np.zeros(100)})

@@ -57,6 +57,7 @@ def test_config_rejects_bad_values():
         dict(task="square_to_square", banks=0),
         dict(task="square_to_square", epochs=-1),
         dict(task="square_to_square", lr=0.0),
+        dict(task="square_to_square", lr=1e300, precision="f32"),  # beyond f32
         dict(task="square_to_square", optimizer="rmsprop"),
         dict(task="square_to_square", precision="f16"),
         dict(task="square_to_square", grid_size=14),
@@ -150,11 +151,19 @@ def test_divergence_raises_with_epoch():
     assert ei.value.epoch < 50
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_in_the_weights_raises_at_that_step(tmp_path):
-    # the one step's loss is finite, but its update overflows the f32
-    # weights; training stops there and writes no checkpoint
-    c = cfg(task="square_to_rectangle", epochs=1, optimizer="sgd", lr=1e300,
+def test_divergence_in_the_weights_raises_at_that_step(tmp_path, monkeypatch):
+    # the one step's loss is finite, but its update makes a weight infinite;
+    # training stops there and writes no checkpoint
+    import rgconv.training as training
+
+    real_step = training.optimizer_step
+
+    def overflowing_step(state, params):
+        real_step(state, params)
+        params[0].data.flat[0] = np.inf
+
+    monkeypatch.setattr(training, "optimizer_step", overflowing_step)
+    c = cfg(task="square_to_rectangle", epochs=1, optimizer="sgd",
             precision="f32", out_dir=str(tmp_path))
     with pytest.raises(TrainingDiverged) as ei:
         train(c)
