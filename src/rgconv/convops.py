@@ -13,7 +13,7 @@ Inner loops, by kernel shape:
 - depthwise convs (one input and one output channel per group, as in the
   separable layer's spatial stage) run a broadcast multiply-add per offset;
 - ``stuffed_conv_nd`` (the stride-2 transposed conv) runs one sub-pixel GEMM
-  per chunk of groups (Shi et al., CVPR 2016): the ``2^d`` one-voxel shifts
+  per group (Shi et al., CVPR 2016): the ``2^d`` one-voxel shifts
   of the input are stacked along K, the 3-stencil's taps are scattered into
   a ``[2^d Ci, Co 2^d]`` kernel that maps them to the ``2^d`` output phases,
   and the result's two last-axis phases of a voxel are written as one float
@@ -285,12 +285,8 @@ class _Subpixel:
     each axis and laid out ``[G, Ci, B * P]``: item ``b + 1`` starts ``P``
     entries after item ``b``, so shift ``s`` of the whole batch is the flat
     window ``[off[s], off[s] + m)``. Its junk columns (voxels past the edge)
-    are dropped by ``interior``. ``w`` is the ``_subpixel_kernel``.
-
-    The batch is folded into the GEMM rows, and the work runs in chunks of
-    ``gc`` groups: as many as keep the stacked windows and the GEMM result
-    (``2^d * (Ci + Co)`` values per padded voxel, item and group) within
-    ``min(Ci, Co)`` values per voxel of the whole input, and at least one.
+    are dropped by ``interior``. ``w`` is the ``_subpixel_kernel``. The batch
+    is folded into the GEMM rows, and each group runs its own GEMM.
     """
 
     def __init__(self, x: np.ndarray, k: np.ndarray, groups: int):
@@ -302,22 +298,18 @@ class _Subpixel:
         self.offsets, self.m = offsets, (self.B - 1) * self.P + n
         self.xf = xp.reshape(groups, x.shape[1] // groups, -1)
         self.w = _subpixel_kernel(k, groups)
-        G, K, N = self.w.shape
-        self.Ci, self.Co = K >> d, N >> d
-        self.gc = max(1, G * min(self.Ci, self.Co) // (K + N))
+        self.Ci, self.Co = self.w.shape[1] >> d, self.w.shape[2] >> d
 
-    def chunks(self, dtype):
-        """Yield ``(gs, stack)`` per chunk: its group slice and the ``2^d``
-        windows of its groups stacked along K, ``[gn, K, m]`` with rows
-        ``(shift, ci)``. ``stack`` is one buffer, reused."""
+    def stacks(self, dtype):
+        """Yield ``(g, stack)`` per group: the ``2^d`` windows of group ``g``
+        stacked along K, ``[K, m]`` with rows ``(shift, ci)``. ``stack`` is
+        one buffer, reused."""
         G, K, _ = self.w.shape
-        buf = np.empty((self.gc, 2**self.d, self.Ci, self.m), dtype=dtype)
-        for g0 in range(0, G, self.gc):
-            gs = slice(g0, min(g0 + self.gc, G))
-            stack = buf[: gs.stop - g0]
+        stack = np.empty((2**self.d, self.Ci, self.m), dtype=dtype)
+        for g in range(G):
             for j, off in enumerate(self.offsets):
-                stack[:, j] = self.xf[gs, :, off : off + self.m]
-            yield gs, stack.reshape(-1, K, self.m)
+                stack[j] = self.xf[g, :, off : off + self.m]
+            yield g, stack.reshape(K, self.m)
 
     def interior(self, a: np.ndarray) -> np.ndarray:
         """``[..., B * P]`` viewed as ``[..., B, *D]``."""
@@ -340,15 +332,14 @@ def _stuffed_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
         (B, G, sp.Co) + sum(((n, 2) for n in D[:-1]), ()) + D[-1:]
     )
     # GEMM rows are padded voxels, columns (co, phase), so the two phases of
-    # the last axis sit side by side; [g, co, p_0 .. p_{d-2}, b, *v] moves to
+    # the last axis sit side by side; [co, p_0 .. p_{d-2}, b, *v] moves to
     # the order of ``pairs``
-    order = [d + 1, 0, 1] + sum(([d + 2 + a, 2 + a] for a in range(d - 1)), []) + [2 * d + 1]
-    r_buf = np.empty((sp.gc, B * sp.P, N), dtype=out.dtype)
-    for gs, stack in sp.chunks(x.dtype):
-        r = r_buf[: stack.shape[0]]
-        np.matmul(stack.swapaxes(1, 2), w[gs], out=r[:, :m])
-        r = r.view(_pair(r.dtype)).reshape(r.shape[:2] + (sp.Co,) + (2,) * (d - 1))
-        pairs[:, gs] = sp.interior(np.moveaxis(r, 1, -1)).transpose(order)
+    order = [d, 0] + sum(([d + 1 + a, 1 + a] for a in range(d - 1)), []) + [2 * d]
+    r = np.empty((B * sp.P, N), dtype=out.dtype)
+    for g, stack in sp.stacks(x.dtype):
+        np.matmul(stack.T, w[g], out=r[:m])
+        rp = r.view(_pair(r.dtype)).reshape((B * sp.P, sp.Co) + (2,) * (d - 1))
+        pairs[:, g] = sp.interior(np.moveaxis(rp, 0, -1)).transpose(order)
     return out.reshape((B, G * sp.Co) + out.shape[3:])
 
 
@@ -360,25 +351,24 @@ def _stuffed_bwd(
     G, _, N = w.shape
     # g split per axis into (v, phase): [B, G, Co, D0, 2, ..., D_{d-1}, 2]
     gv = g.reshape((B, G, sp.Co) + sum(((n, 2) for n in D), ()))
-    gw = np.zeros(w.shape, dtype=np.result_type(g, x))
+    gw = np.empty(w.shape, dtype=np.result_type(g, x))
     if want_gx:
         gxp = np.zeros(sp.xf.shape, dtype=np.result_type(g, k))
-    # g phase-major in the padded layout, [gc, (co, phase), B * P], zero on
-    # the junk columns: a strided read per phase, which runs faster than
-    # writing GEMM rows of pairs
-    gr_buf = np.zeros((sp.gc, N, B * sp.P), dtype=g.dtype)
-    for gs, stack in sp.chunks(np.result_type(x, k, g)):
-        gr = gr_buf[: stack.shape[0]]
-        dst = sp.interior(gr.reshape(gr.shape[0], sp.Co, 2**d, -1))
+    # g of one group phase-major in the padded layout, [(co, phase), B * P],
+    # zero on the junk columns: a strided read per phase, which runs faster
+    # than writing GEMM rows of pairs
+    gr = np.zeros((N, B * sp.P), dtype=g.dtype)
+    dst = sp.interior(gr.reshape(sp.Co, 2**d, -1))
+    for gi, stack in sp.stacks(np.result_type(x, k, g)):
         for i, phi in enumerate(np.ndindex(*(2,) * d)):
-            src = gv[(slice(None), gs, slice(None)) + sum(((slice(None), p) for p in phi), ())]
-            dst[:, :, i] = np.moveaxis(src, 0, 2)
-        gw[gs] += stack @ gr[..., :m].swapaxes(1, 2)
+            src = gv[(slice(None), gi, slice(None)) + sum(((slice(None), p) for p in phi), ())]
+            dst[:, i] = np.moveaxis(src, 0, 1)
+        np.matmul(stack, gr[:, :m].T, out=gw[gi])
         if want_gx:
-            gst = np.matmul(w[gs], gr[..., :m], out=stack)
-            gst = gst.reshape(gst.shape[0], 2**d, sp.Ci, m)
+            gst = np.matmul(w[gi], gr[:, :m], out=stack)
+            gst = gst.reshape(2**d, sp.Ci, m)
             for j, off in enumerate(sp.offsets):
-                gxp[gs, :, off : off + m] += gst[:, j]
+                gxp[gi, :, off : off + m] += gst[j]
     gk = _subpixel_kernel_grad(gw, k.shape)
     if not want_gx:
         return None, gk

@@ -384,9 +384,9 @@ def test_stuffed_conv_route(monkeypatch, case, stuffs):
     monkeypatch.setattr(convops, "zero_stuff", spy)
     rng = np.random.default_rng(18)
     x = rng.normal(size=(2, 4, 5, 5))
-    S, padding = (5, "zero") if case == "S=5" else (3, "circular")
-    if case == "zero padding":
-        padding = "zero"
+    # each case changes one route condition; the stuffed extent 10 fits S=5
+    S = 5 if case == "S=5" else 3
+    padding = "zero" if case == "zero padding" else "circular"
     if case == "non-finite input":
         x[0, 1, 2, 3] = np.inf
     xt, kt = parameter(x), parameter(rng.normal(size=(4, 2, S, S)))
