@@ -24,6 +24,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "no_grad",
+    "released_on_error",
     "tensor",
     "parameter",
     "backward",
@@ -53,11 +54,12 @@ class Tape:
     def __init__(self):
         self.nodes: list[TapeNode] = []
 
-    def release(self) -> None:
-        for node in self.nodes:
+    def release(self, start: int = 0) -> None:
+        """Drop the nodes from index ``start`` on, and their references."""
+        for node in self.nodes[start:]:
             node.parents = ()
             node.pull = None
-        self.nodes.clear()
+        del self.nodes[start:]
 
 
 class TapeNode:
@@ -94,6 +96,24 @@ class no_grad:
     def __exit__(self, *exc):
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
+        return False
+
+
+class released_on_error:
+    """Context manager that drops the nodes recorded inside it if it raises.
+
+    A forward pass that raises would otherwise leave its nodes, and the
+    arrays they hold, on the active tape for the next forward to append to.
+    """
+
+    def __enter__(self):
+        self._tape = _ACTIVE_TAPE
+        self._start = len(_ACTIVE_TAPE.nodes) if _ACTIVE_TAPE is not None else 0
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        if exc_type is not None and _ACTIVE_TAPE is not None:
+            _ACTIVE_TAPE.release(self._start if _ACTIVE_TAPE is self._tape else 0)
         return False
 
 

@@ -8,8 +8,13 @@ wrap, the default everywhere in this package) or ``zero``.
 
 Inner loops, by kernel shape:
 
-- dense and grouped convs run one batched matmul per kernel offset, on a
-  copy of the input window at that offset;
+- dense and grouped convs run one batched matmul per chunk of
+  ``c = min(T, max(1, C_out // C_in))`` of the ``T`` kernel offsets (taps):
+  the chunk's input windows are copied into one stack with rows
+  ``(ci, tap)``, which from two taps on never holds more values than the
+  output, and meet the matching ``[C_out, C_in c]`` slice of the kernel.
+  A lifting conv (``C_in = 1``) is one GEMM; where ``C_out < 2 C_in`` it is
+  one window per tap. The kernel gradient runs the same chunks;
 - depthwise convs (one input and one output channel per group, as in the
   separable layer's spatial stage) run a broadcast multiply-add per offset;
 - ``stuffed_conv_nd`` (the stride-2 transposed conv) runs one sub-pixel GEMM
@@ -146,24 +151,55 @@ def _depthwise_bwd_kernel(
     return gk.reshape(k_shape)
 
 
+def _tap_chunks(x: np.ndarray, k_shape, padding: str, groups: int):
+    """Yield ``(t0, t1, stack)`` for each chunk of taps ``[t0, t1)``: the
+    chunk's input windows as ``[B, G, Ci * (t1 - t0), vol]``, rows
+    ``(ci, tap)``, matching ``k.reshape(G, Co, Ci, T)[..., t0:t1]``.
+
+    A chunk holds ``c = min(T, max(1, Co // Ci))`` taps: at ``c = 1`` the
+    stack is one window, and above it never holds more values than the
+    conv's output. The stack is one buffer, reused; a partial last chunk
+    gets its own.
+    """
+    B, D, S = x.shape[0], x.shape[2:], k_shape[2:]
+    Ci, Co = k_shape[1], k_shape[0] // groups
+    halos = [(s - 1) // 2 for s in S]
+    xp = _pad_spatial(x, [(h, h) for h in halos], padding).reshape(
+        (B, groups, Ci) + tuple(n + 2 * h for n, h in zip(D, halos))
+    )
+    wins = [
+        xp[(Ellipsis,) + tuple(slice(o, o + n) for o, n in zip(off, D))]
+        for off in np.ndindex(*S)
+    ]
+    T, vol = len(wins), int(np.prod(D))
+    c = min(T, max(1, Co // Ci))
+    for t0 in range(0, T, c):
+        n = min(c, T - t0)
+        if t0 == 0 or n < c:
+            buf = np.empty((B, groups, Ci, n) + tuple(D), dtype=x.dtype)
+            rows = [buf[:, :, :, j] for j in range(n)]
+            stack = buf.reshape(B, groups, Ci * n, vol)
+        for j in range(n):
+            rows[j][...] = wins[t0 + j]
+        yield t0, t0 + n, stack
+
+
 def _conv_fwd(x: np.ndarray, k: np.ndarray, padding: str, groups: int) -> np.ndarray:
     if _is_depthwise(k.shape, groups):
         return _depthwise_fwd(x, k, padding)
-    d = k.ndim - 2
-    B, D, S = x.shape[0], x.shape[2:], k.shape[2:]
-    G = groups
-    Ci, Co = k.shape[1], k.shape[0] // groups
-    halos = [(s - 1) // 2 for s in S]
-    xp = _pad_spatial(x, [(h, h) for h in halos], padding).reshape(
-        (B, G, Ci) + tuple(D[i] + 2 * halos[i] for i in range(d))
-    )
-    kk = k.reshape(G, Co, Ci, -1)
-    vol = int(np.prod(D))
-    out = np.zeros((B, G, Co, vol), dtype=np.result_type(x, k))
-    for t, off in enumerate(np.ndindex(*S)):
-        sl = tuple(slice(o, o + D[i]) for i, o in enumerate(off))
-        v = xp[(slice(None),) * 3 + sl].reshape(B, G, Ci, vol)
-        out += kk[..., t] @ v
+    B, D, G = x.shape[0], x.shape[2:], groups
+    Co = k.shape[0] // G
+    kk = k.reshape(G, Co, k.shape[1], -1)
+    out = np.empty((B, G, Co, int(np.prod(D))), dtype=np.result_type(x, k))
+    tmp = None
+    for t0, t1, stack in _tap_chunks(x, k.shape, padding, G):
+        # one tap: a basic index, cheaper than a reshape in a small per-tap loop
+        kc = kk[..., t0] if t1 == t0 + 1 else kk[..., t0:t1].reshape(G, Co, -1)
+        if t0 == 0:
+            np.matmul(kc, stack, out=out)
+        else:
+            tmp = np.matmul(kc, stack, out=tmp)
+            out += tmp
     return out.reshape((B, G * Co) + tuple(D))
 
 
@@ -172,21 +208,13 @@ def _conv_bwd_kernel(
 ) -> np.ndarray:
     if _is_depthwise(k_shape, groups):
         return _depthwise_bwd_kernel(g, x, k_shape, padding)
-    d = len(k_shape) - 2
-    B, D, S = x.shape[0], x.shape[2:], k_shape[2:]
-    G = groups
-    Ci, Co = k_shape[1], k_shape[0] // groups
-    halos = [(s - 1) // 2 for s in S]
-    xp = _pad_spatial(x, [(h, h) for h in halos], padding).reshape(
-        (B, G, Ci) + tuple(D[i] + 2 * halos[i] for i in range(d))
-    )
-    vol = int(np.prod(D))
-    gr = g.reshape(B, G, Co, vol)
-    gk = np.zeros((G, Co, Ci, int(np.prod(S))), dtype=np.result_type(g, x))
-    for t, off in enumerate(np.ndindex(*S)):
-        sl = tuple(slice(o, o + D[i]) for i, o in enumerate(off))
-        v = xp[(slice(None),) * 3 + sl].reshape(B, G, Ci, vol)
-        gk[..., t] = (gr @ v.swapaxes(-1, -2)).sum(axis=0)
+    B, G = x.shape[0], groups
+    Ci, Co = k_shape[1], k_shape[0] // G
+    gr = g.reshape(B, G, Co, -1)
+    gk = np.empty((G, Co, Ci, int(np.prod(k_shape[2:]))), dtype=np.result_type(g, x))
+    for t0, t1, stack in _tap_chunks(x, k_shape, padding, G):
+        gc = (gr @ stack.swapaxes(-1, -2)).sum(axis=0)
+        gk[..., t0:t1] = gc.reshape(G, Co, Ci, t1 - t0)
     return gk.reshape(k_shape)
 
 

@@ -14,7 +14,11 @@ convolution writes ``[B, C_out, |H|, *D]`` directly and no activation is
 transposed. The full layer keeps its bank sum on the activation: its
 transformed kernel has ``|H|`` times the entries of its input feature map at
 the sizes used here (7.6 MiB against 2 MiB at O48), so a folded copy of it
-would cost more memory than the sum saves.
+would cost more memory than the sum saves. Its pooled form
+(``pool=True``, the discovery net's last layer) also averages over ``h``,
+and that mean folds ``w`` and ``1/|H|`` into one kernel with ``|H| L`` times
+fewer output channels than the transformed one, so there the sum moves onto
+the kernel.
 
 With ``relaxed=False`` the weights are frozen at exactly 1 and the layer is
 an ordinary group convolution: summing the banks with equal unit weights is
@@ -178,10 +182,21 @@ class RelaxedGConvLayer(_GroupLayer):
     Kernels have shape ``[L, C_out, C_in, |H|, S^d]``: a spatial stencil per
     input group element. Output element ``h`` correlates the input against
     the kernel transformed jointly over its group axis (``sigma_h``) and its
-    spatial support (``pi_h``).
+    spatial support (``pi_h``), and the layer sums the ``L`` banks with
+    ``w[:, h]`` on the ``[B, |H| L C_out, *D]`` conv output.
+
+    With ``pool=True`` the layer returns the group mean of that output,
+    ``[B, C_out, *D]``. The mean and the bank sum are linear in the kernel,
+    so they fold into one kernel ``[C_out, C_in |H|, S^d]``: the row of
+    ``w^T / |H|`` times the transformed kernels, one ``matmul``. One conv
+    with ``C_out`` outputs replaces one with ``|H| L C_out``.
     """
 
     _relaxed_default = True
+
+    def __init__(self, *args, pool: bool = False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pool = pool
 
     def _kernel_shapes(self):
         H, K = self.group.order, self.kernel_size ** self.dim
@@ -194,10 +209,15 @@ class RelaxedGConvLayer(_GroupLayer):
         H, L, Co, Ci = self.group.order, self.banks, self.out_channels, self.in_channels
         B, D = x.shape[0], x.shape[3:]
         S = (self.kernel_size,) * d
+        xf = reshape(x, (B, Ci * H) + D)
 
         kt = transform_group_kernel(self.kernels, self.cache)  # [H, L, Co, Ci, H', K]
+        if self.pool:
+            row = reshape(transpose(self.w, (1, 0)), (1, H * L)) * (1.0 / H)
+            kt = matmul(row, reshape(kt, (H * L, -1)))
+            return conv_nd(xf, reshape(kt, (Co, Ci * H) + S), padding=self.padding)
         kt = reshape(kt, (H * L * Co, Ci * H) + S)
-        y = conv_nd(reshape(x, (B, Ci * H) + D), kt, padding=self.padding)
+        y = conv_nd(xf, kt, padding=self.padding)
         y = sum_(mul(reshape(y, (B, H, L, Co) + D), self._w_rows(1 + d)), axes=(2,))
         return transpose(y, (0, 2, 1) + tuple(range(3, 3 + d)))
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, relu
+from .autodiff import Tensor, released_on_error, relu
 from .errors import ConfigError
 from .groups import FiniteGroup
 from .layers import (
@@ -121,8 +121,9 @@ class Network:
         return self
 
     def forward(self, x: Tensor) -> Tensor:
-        for m in self.modules:
-            x = m(x)
+        with released_on_error():
+            for m in self.modules:
+                x = m(x)
         return x
 
     __call__ = forward
@@ -143,7 +144,9 @@ def build_discovery_net(
     """3-layer relaxed net: lifting -> gconv -> gconv, pooled to a grid.
 
     Scalar in, scalar out; relu between layers; circular padding; every layer
-    carries a trainable relaxed weight vector of length ``|group|``.
+    carries a trainable relaxed weight vector of length ``|group|``. The last
+    layer pools over the group itself (``pool=True``), so the parameter names
+    are ``layer0``, ``layer2`` and ``layer4`` as with a trailing ``GroupPool``.
     """
     if channels < 1:
         raise ConfigError(f"channels must be >= 1, got {channels}")
@@ -154,8 +157,7 @@ def build_discovery_net(
             ReLULayer(),
             RelaxedGConvLayer(group, channels, channels, **common),
             ReLULayer(),
-            RelaxedGConvLayer(group, channels, 1, **common),
-            GroupPool(),
+            RelaxedGConvLayer(group, channels, 1, pool=True, **common),
         ],
         group=group,
     )

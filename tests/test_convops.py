@@ -14,6 +14,7 @@ from rgconv.autodiff import (
     zero_grads,
 )
 from rgconv.convops import (
+    _tap_chunks,
     conv_nd,
     conv_transpose_nd,
     stuffed_conv_nd,
@@ -159,6 +160,46 @@ def test_conv3d_grouped_gradients():
     w = tensor(rng.normal(size=(1, 4, 3, 3, 3)))
     check_grad(lambda: sum_(mul(conv_nd(x, k, groups=2), w)), x)
     check_grad(lambda: sum_(mul(conv_nd(x, k, groups=2), w)), k)
+
+
+# (spatial, groups, C_in, C_out, S) per group, and the tap-chunk widths that
+# c = min(T, max(1, C_out // C_in)) gives
+TAP_CHUNK_CASES = [
+    ((5, 6), 1, 3, 2, 3, [1] * 9),  # c = 1, the per-tap loop
+    ((5, 6), 2, 1, 12, 3, [9]),  # c = T: the lifting shape, one GEMM
+    ((4, 5, 3), 1, 2, 20, 3, [10, 10, 7]),  # a partial last chunk
+    ((4, 3, 5), 2, 1, 5, 3, [5] * 5 + [2]),
+    ((6, 5), 3, 2, 5, 5, [2] * 12 + [1]),
+]
+
+
+@pytest.mark.parametrize("D,G,Ci,Co,S,widths", TAP_CHUNK_CASES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tap_chunks_match_per_group_reference(D, G, Ci, Co, S, widths, dtype):
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(2, G * Ci) + D).astype(dtype)
+    k = rng.normal(size=(G * Co, Ci) + (S,) * len(D)).astype(dtype)
+    chunks = _tap_chunks(x, k.shape, "circular", G)
+    assert [t1 - t0 for t0, t1, _ in chunks] == widths
+    out = conv_nd(tensor(x), tensor(k), groups=G)
+    assert out.shape == (2, G * Co) + D and out.dtype == dtype
+    tol = dict(rtol=1e-5, atol=1e-4) if dtype == np.float32 else dict(atol=1e-12)
+    for g in range(G):
+        ref = conv_ref(
+            x[:, g * Ci : (g + 1) * Ci], k[g * Co : (g + 1) * Co], "circular"
+        )
+        assert np.allclose(out.data[:, g * Co : (g + 1) * Co], ref, **tol)
+
+
+@pytest.mark.parametrize("D,G,Ci,Co,S,widths", TAP_CHUNK_CASES[1:4])
+@pytest.mark.parametrize("padding", ["circular", "zero"])
+def test_tap_chunk_gradients(D, G, Ci, Co, S, widths, padding):
+    rng = np.random.default_rng(18)
+    x = parameter(rng.normal(size=(1, G * Ci) + D))
+    k = parameter(rng.normal(size=(G * Co, Ci) + (S,) * len(D)))
+    w = tensor(rng.normal(size=(1, G * Co) + D))
+    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), x)
+    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), k)
 
 
 def test_conv_shape_errors():

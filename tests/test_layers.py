@@ -201,6 +201,33 @@ def test_gconv_gradients():
     grad_check_layer(layer, f, [layer.kernels, layer.w])
 
 
+@pytest.mark.parametrize("G,spatial", [(C4, (5, 6)), (O24, (4, 3, 5)), (O48, (3, 4, 3))])
+@pytest.mark.parametrize("banks", [1, 2])
+def test_pooled_gconv_equals_group_pool_of_the_layer(G, spatial, banks):
+    # the pooled head folds w and the group mean into one kernel; the
+    # unpooled layer then group_pool is the reference, forward and backward
+    rng = np.random.default_rng(20)
+    plain = RelaxedGConvLayer(G, 2, 3, banks=banks, kernel_size=3)
+    plain.init(np.random.default_rng(21))
+    plain.w.data[...] = rng.uniform(0.5, 1.5, size=plain.w.shape)
+    pooled = RelaxedGConvLayer(G, 2, 3, banks=banks, kernel_size=3, pool=True)
+    pooled.kernels.data[...] = plain.kernels.data
+    pooled.w.data[...] = plain.w.data
+    f = rng.normal(size=(2, 2, G.order) + spatial)
+    r = tensor(rng.normal(size=(2, 3) + spatial))
+    results = []
+    for layer, head in ((plain, group_pool), (pooled, lambda y: y)):
+        x = Tensor(f.copy(), requires_grad=True)
+        ps = [layer.kernels, layer.w, x]
+        zero_grads(ps)
+        y = head(layer(x))
+        backward(sum_(mul(y, r)), params=ps)
+        results.append([y.data] + [p.grad for p in ps])
+    for want, got in zip(*results):
+        assert want.shape == got.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 def test_separable_gradients():
     rng = np.random.default_rng(9)
     layer = SeparableRelaxedGConvLayer(C4, 2, 2, banks=2, kernel_size=3)

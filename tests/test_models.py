@@ -6,6 +6,7 @@ import pytest
 
 from rgconv import (
     ConfigError,
+    ExperimentConfig,
     GroupPool,
     Network,
     ResidualBlock,
@@ -13,11 +14,14 @@ from rgconv import (
     build_group,
     build_superres_net,
     equivariance_error,
+    load_checkpoint,
     matched_conv_channels,
     param_count,
+    save_checkpoint,
 )
-from rgconv.autodiff import tensor
-from rgconv.layers import ConvLayer
+from rgconv import autodiff
+from rgconv.autodiff import backward, sum_, tensor, zero_grads
+from rgconv.layers import ConvLayer, LiftingLayer, ReLULayer, RelaxedGConvLayer
 
 C4 = build_group("cyclic_2d(4)")
 O24 = build_group("octahedral_24")
@@ -50,6 +54,71 @@ def test_discovery_net_named_params_stable():
     assert len({n for n, _ in na}) == len(na)
     for (_, pa), (_, pb) in zip(na, nb):
         assert np.array_equal(pa.data, pb.data)
+
+
+def test_discovery_net_names_and_earlier_checkpoints(tmp_path):
+    # the net pools inside its last layer; a checkpoint of the same net with
+    # an unpooled last layer and a trailing GroupPool loads with equal outputs
+    config = ExperimentConfig(task="square_to_rectangle", channels=3, banks=2)
+    names = [n for n, _ in build_discovery_net(C4, banks=2, channels=3).named_params()]
+    assert names == [f"layer{i}.{a}" for i in (0, 2, 4) for a in ("kernels", "w")]
+    common = dict(banks=2, relaxed=True)
+    earlier = Network(
+        [
+            LiftingLayer(C4, 1, 3, **common),
+            ReLULayer(),
+            RelaxedGConvLayer(C4, 3, 3, **common),
+            ReLULayer(),
+            RelaxedGConvLayer(C4, 3, 1, **common),
+            GroupPool(),
+        ],
+        group=C4,
+    ).init(4)
+    rng = np.random.default_rng(5)
+    for ly in earlier.weight_layers():
+        ly.w.data[...] = rng.uniform(0.5, 1.5, size=ly.w.shape)
+    save_checkpoint(str(tmp_path), earlier, config)
+    loaded, _, _ = load_checkpoint(str(tmp_path))
+    x = tensor(rng.normal(size=(2, 1, 7, 6)))
+    want, got = earlier(x).data, loaded(x).data
+    assert got.shape == want.shape == (2, 1, 7, 6)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class _Raises:
+    def params(self):
+        return []
+
+    def __call__(self, x):
+        raise RuntimeError("module failed")
+
+
+def test_raising_forward_releases_its_tape():
+    net = build_discovery_net(C4, channels=3).init(6)
+    x = tensor(np.random.default_rng(7).normal(size=(1, 1, 7, 7)))
+    params = net.params()
+
+    def step_grads(y):
+        zero_grads(params)
+        backward(sum_(y), params=params)
+        return [p.grad.copy() for p in params]
+
+    fresh = step_grads(net(x))
+    failing = Network(net.modules + [_Raises()], group=C4)
+    with pytest.raises(RuntimeError):
+        failing(x)
+    tape = autodiff._ACTIVE_TAPE
+    assert tape is None or not tape.nodes
+    for a, b in zip(fresh, step_grads(net(x))):
+        assert np.array_equal(a, b)
+    # nodes recorded before the failing forward stay for their backward
+    y = net(x)
+    kept = len(autodiff._ACTIVE_TAPE.nodes)
+    with pytest.raises(RuntimeError):
+        failing(x)
+    assert len(autodiff._ACTIVE_TAPE.nodes) == kept
+    for a, b in zip(fresh, step_grads(y)):
+        assert np.array_equal(a, b)
 
 
 def test_init_seed_changes_weights():
