@@ -89,6 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.task in SUPERRES_TASKS:
         size = args.size or 32
         data = gen_flow_dataset(
@@ -149,6 +151,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_check_equiv(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
+    if args.inputs < 1:
+        raise ConfigError(f"--inputs must be >= 1, got {args.inputs}")
     model, config, _ = load_checkpoint(args.checkpoint)
     if model.group is None:
         raise ConfigError("check-equiv needs a group model checkpoint")

@@ -107,6 +107,8 @@ class ExperimentConfig:
         # epochs 0 trains nothing but still writes a checkpoint of the init
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if self.seed < 0:  # NumPy seeds only from non-negative integers
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.optimizer not in _OPTIMIZERS:

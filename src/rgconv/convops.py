@@ -6,9 +6,25 @@ with 2 or 3 trailing spatial axes. Kernels are centered and odd-sized, and
 offsets ``o`` in ``[-(S-1)/2, (S-1)/2]^d``. Padding is ``circular`` (periodic
 wrap, the default everywhere in this package) or ``zero``.
 
-Inner loops, by kernel shape:
+Inner loops, by kernel shape. Each loop's tile is sized from the shapes so
+that its working set stays within ``CACHE_BYTES`` (1 MiB, half the per-core
+L2 of the machine they were tuned on) and the input is read few times:
 
-- dense and grouped convs run one batched matmul per chunk of
+- dense and grouped convs with ``T C_out <= C_in`` (a head that maps many
+  channels to few, as the pooled discovery head) take *output-side taps*:
+  one GEMM ``[T C_out, C_in] @ x_padded`` over the flat padded input, read
+  once, then the ``T`` outputs' flat windows are summed. The kernel
+  gradient is one GEMM of the padded input against ``T`` shifted copies of
+  the padded ``g``;
+- dense convs whose tap window (``B C_in vol`` values) is over the budget,
+  and where one output plane's windows of all ``T`` taps fit in the buffer
+  the tap chunks below would use (``C_in c vol`` values), take *all-tap
+  plane slabs*: per tile of batch items and whole output planes (along the
+  first spatial axis), as many as fit in the budget, all ``T`` windows are
+  copied into one stack and meet the whole ``[C_out, C_in T]`` kernel in
+  one GEMM (Chellapilla et al., 2006). The kernel gradient runs the same
+  tiles and sums them;
+- all other dense convs run one batched matmul per chunk of
   ``c = min(T, max(1, C_out // C_in))`` of the ``T`` kernel offsets (taps):
   the chunk's input windows are copied into one stack with rows
   ``(ci, tap)``, which from two taps on never holds more values than the
@@ -16,7 +32,8 @@ Inner loops, by kernel shape:
   A lifting conv (``C_in = 1``) is one GEMM; where ``C_out < 2 C_in`` it is
   one window per tap. The kernel gradient runs the same chunks;
 - depthwise convs (one input and one output channel per group, as in the
-  separable layer's spatial stage) run a broadcast multiply-add per offset;
+  separable layer's spatial stage) run a broadcast multiply-add per offset,
+  over blocks of channel rows sized to the budget;
 - ``stuffed_conv_nd`` (the stride-2 transposed conv) runs one sub-pixel GEMM
   per group (Shi et al., CVPR 2016): the ``2^d`` one-voxel shifts
   of the input are stacked along K, the 3-stencil's taps are scattered into
@@ -25,12 +42,14 @@ Inner loops, by kernel shape:
   pair. Its backward reads ``g`` once per phase and runs the two transposed
   GEMMs.
 
-The last two read flat windows: the padded input is flattened over its
-spatial axes, so the input at offset ``o`` from every output voxel is one
-contiguous slice, read in place (depthwise) or copied once into the stack
-(sub-pixel). Its junk columns (voxels past the edge) are dropped when the
-output is written. A conv whose input is data (no tape node and no
-``requires_grad``) pulls no input gradient.
+All but the tap chunks read flat windows: the padded input is flattened
+over its spatial axes (over each plane's, for the slabs), so the input at
+offset ``o`` from every output voxel is one contiguous slice, read in place
+(depthwise, output-side taps) or copied once into the stack (slabs,
+sub-pixel). Its junk columns (voxels past the edge) are dropped when the
+output is written, and meet zeros in the kernel gradients. A conv whose
+input is data (no tape node and no ``requires_grad``) pulls no input
+gradient.
 """
 
 from __future__ import annotations
@@ -39,6 +58,10 @@ import numpy as np
 
 from .autodiff import Tensor, record, reshape
 from .errors import ConfigError, ShapeError
+
+# Bytes a conv loop's tile should keep its working set within: half the
+# 2 MiB per-core L2 of the machine the loops were tuned on.
+CACHE_BYTES = 1 << 20
 
 __all__ = [
     "conv_nd",
@@ -51,13 +74,28 @@ __all__ = [
 
 
 def _pad_spatial(arr: np.ndarray, pads, padding: str) -> np.ndarray:
-    """Pad the trailing ``len(pads)`` axes by their ``(low, high)`` pairs."""
-    pads = [(0, 0)] * (arr.ndim - len(pads)) + list(pads)
-    if padding == "circular":
-        return np.pad(arr, pads, mode="wrap")
+    """Pad the trailing ``len(pads)`` axes by their ``(low, high)`` pairs,
+    each at most the axis extent."""
     if padding == "zero":
+        pads = [(0, 0)] * (arr.ndim - len(pads)) + list(pads)
         return np.pad(arr, pads, mode="constant")
-    raise ConfigError(f"unknown padding {padding!r}")
+    if padding != "circular":
+        raise ConfigError(f"unknown padding {padding!r}")
+    # the interior, then per axis the two halos as copies of its far ends,
+    # over the padded extent of the axes before it and the interior of those
+    # after it; cheaper than np.pad(mode="wrap") on small arrays
+    lead, D = arr.shape[: arr.ndim - len(pads)], arr.shape[arr.ndim - len(pads) :]
+    out = np.empty(lead + tuple(n + lo + hi for n, (lo, hi) in zip(D, pads)), arr.dtype)
+    inner = [slice(lo, lo + n) for n, (lo, _) in zip(D, pads)]
+    out[(Ellipsis,) + tuple(inner)] = arr
+    for a, (n, (lo, hi)) in enumerate(zip(D, pads)):
+        before = (Ellipsis,) + (slice(None),) * a
+        after = tuple(inner[a + 1 :])
+        out[before + (slice(0, lo),) + after] = out[before + (slice(n, n + lo),) + after]
+        out[before + (slice(lo + n, lo + n + hi),) + after] = out[
+            before + (slice(lo, lo + hi),) + after
+        ]
+    return out
 
 
 def _flat_windows(padded, D, offsets) -> tuple[list[int], int]:
@@ -121,17 +159,29 @@ def _depthwise_windows(x: np.ndarray, S, padding: str):
     return xp.reshape(x.shape[1], -1), padded, offsets, n
 
 
+def _row_blocks(rows: int, row_bytes: int):
+    """Slices of at most ``CACHE_BYTES // row_bytes`` rows (at least one),
+    where ``row_bytes`` is what one row adds to the loop's working set."""
+    r = max(1, CACHE_BYTES // row_bytes)
+    return [slice(r0, min(rows, r0 + r)) for r0 in range(0, rows, r)]
+
+
 def _depthwise_fwd(x: np.ndarray, k: np.ndarray, padding: str) -> np.ndarray:
-    # one stencil per channel: a broadcast multiply-add per tap
+    # one stencil per channel: a broadcast multiply-add per tap, over blocks
+    # of channel rows that stay in cache across the taps
     B, G, D = x.shape[0], x.shape[1], x.shape[2:]
     xf, padded, offsets, n = _depthwise_windows(x, k.shape[2:], padding)
     taps = k.reshape(G, -1)
     out = np.empty(xf.shape, dtype=np.result_type(x, k))
-    acc, tmp = out[:, :n], np.empty((G, n), dtype=out.dtype)
-    for t, off in enumerate(offsets):
-        np.multiply(xf[:, off : off + n], taps[:, t, None], out=acc if t == 0 else tmp)
-        if t:
-            acc += tmp
+    # working set: the block's input, output and product rows
+    blocks = _row_blocks(G, 3 * xf.shape[1] * out.itemsize)
+    tmp = np.empty((blocks[0].stop, n), dtype=out.dtype)
+    for rows in blocks:
+        acc, tb = out[rows, :n], tmp[: rows.stop - rows.start]
+        for t, off in enumerate(offsets):
+            np.multiply(xf[rows, off : off + n], taps[rows, t, None], out=acc if t == 0 else tb)
+            if t:
+                acc += tb
     out = _interior(out.reshape((G, B, -1)), padded, D)
     return np.ascontiguousarray(out.swapaxes(0, 1))
 
@@ -146,9 +196,33 @@ def _depthwise_bwd_kernel(
     _interior(gp.reshape((G, B, -1)), padded, x.shape[2:])[...] = g.swapaxes(0, 1)
     gp = gp[:, :n]
     gk = np.empty((G, len(offsets)), dtype=np.result_type(g, x))
-    for t, off in enumerate(offsets):
-        gk[:, t] = np.einsum("gn,gn->g", gp, xf[:, off : off + n])
+    for rows in _row_blocks(G, 2 * xf.shape[1] * xf.itemsize):  # x and g rows
+        for t, off in enumerate(offsets):
+            gk[rows, t] = np.einsum("gn,gn->g", gp[rows], xf[rows, off : off + n])
     return gk.reshape(k_shape)
+
+
+def _dense_route(x_shape, k_shape, groups: int, itemsize: int) -> str:
+    """The loop a dense conv of these shapes runs: ``"outputs"``
+    (``_out_taps_fwd``), ``"slabs"`` (``_plane_slabs``) or ``"chunks"``
+    (``_tap_chunks``)."""
+    Ci, Co = k_shape[1], k_shape[0] // groups
+    T, D, S = int(np.prod(k_shape[2:])), x_shape[2:], k_shape[2:]
+    if T * Co <= Ci:
+        return "outputs"
+    # a slab of one plane (L columns) must fit in the c-tap chunk's buffer
+    c = min(T, max(1, Co // Ci))
+    L = D[1] * int(np.prod([n + s - 1 for n, s in zip(D[2:], S[2:])]))
+    if int(np.prod(x_shape)) * itemsize > CACHE_BYTES and T * L <= c * int(np.prod(D)):
+        return "slabs"
+    return "chunks"
+
+
+def _padded(x: np.ndarray, S, padding: str, groups: int) -> np.ndarray:
+    """``x`` padded by the kernel's halo, as ``[B, G, Ci, *padded]``."""
+    halos = [(s - 1) // 2 for s in S]
+    xp = _pad_spatial(x, [(h, h) for h in halos], padding)
+    return xp.reshape((x.shape[0], groups, -1) + xp.shape[2:])
 
 
 def _tap_chunks(x: np.ndarray, k_shape, padding: str, groups: int):
@@ -163,10 +237,7 @@ def _tap_chunks(x: np.ndarray, k_shape, padding: str, groups: int):
     """
     B, D, S = x.shape[0], x.shape[2:], k_shape[2:]
     Ci, Co = k_shape[1], k_shape[0] // groups
-    halos = [(s - 1) // 2 for s in S]
-    xp = _pad_spatial(x, [(h, h) for h in halos], padding).reshape(
-        (B, groups, Ci) + tuple(n + 2 * h for n, h in zip(D, halos))
-    )
+    xp = _padded(x, S, padding, groups)
     wins = [
         xp[(Ellipsis,) + tuple(slice(o, o + n) for o, n in zip(off, D))]
         for off in np.ndindex(*S)
@@ -184,13 +255,115 @@ def _tap_chunks(x: np.ndarray, k_shape, padding: str, groups: int):
         yield t0, t0 + n, stack
 
 
+def _plane_slabs(x: np.ndarray, k_shape, padding: str, groups: int):
+    """Yield ``(items, z0, z1, stack)`` for each tile of batch ``items`` (a
+    slice) and output planes ``[z0, z1)`` (along the first spatial axis):
+    all ``T`` input windows of the tile as
+    ``[len(items), G, Ci * T, (z1 - z0) * L]``, rows ``(ci, tap)``, matching
+    ``k.reshape(G, Co, Ci * T)``.
+
+    Each plane takes ``L`` columns: the padded plane cut to ``D[1]`` along
+    its first axis, so in 3D every line of the last axis carries ``S - 1``
+    junk columns, and a plane's window for one ``(ci, tap)`` is one
+    contiguous run of the padded input. The junk columns past the run are
+    zero. A tile takes as many items, then planes, as fit in
+    ``CACHE_BYTES``, at least one of each. Each tile shape has one buffer,
+    reused.
+    """
+    B, D, S = x.shape[0], x.shape[2:], tuple(k_shape[2:])
+    Ci, T = k_shape[1], int(np.prod(S))
+    xp = _padded(x, S, padding, groups)
+    P, st = xp.shape[3:], xp.strides
+    L = D[1] * int(np.prod(P[2:]))
+    m = L - (P[-1] - D[-1]) if len(D) == 3 else L
+    plane = groups * Ci * T * L * x.itemsize  # one item's plane
+    nb = max(1, min(B, CACHE_BYTES // plane))
+    p = max(1, CACHE_BYTES // (nb * plane))
+    bufs = {}
+    for b0 in range(0, B, nb):
+        for z0 in range(0, D[0], p):
+            shape = (min(nb, B - b0), groups, Ci) + S + (min(p, D[0] - z0), L)
+            if shape not in bufs:
+                bufs[shape] = np.zeros(shape, dtype=x.dtype)
+            buf = bufs[shape]
+            # tap o of plane z, (ci, tap) row: the run of m values from
+            # padded voxel (z + o[0], o[1], ...); it stays inside the volume
+            buf[..., :m] = np.lib.stride_tricks.as_strided(
+                xp[b0 : b0 + shape[0], :, :, z0], shape[:-1] + (m,),
+                st[:3] + st[3:] + (st[3], x.itemsize), writeable=False,
+            )
+            items, n = slice(b0, b0 + shape[0]), shape[-2]
+            yield items, z0, z0 + n, buf.reshape(shape[0], groups, Ci * T, n * L)
+
+
+def _slab_planes(a: np.ndarray, D, S) -> np.ndarray:
+    """``[..., n * L]`` columns of a ``_plane_slabs`` tile as
+    ``[..., n, *D[1:]]``, junk cut (a strided view)."""
+    lines = tuple(n + s - 1 for n, s in zip(D[2:], S[2:]))
+    a = a.reshape(a.shape[:-1] + (-1, D[1]) + lines)
+    return a[(Ellipsis,) + tuple(slice(0, n) for n in D[2:])]
+
+
+def _flat_padded(x: np.ndarray, S, padding: str, groups: int):
+    """``x`` padded and flattened over its spatial axes as ``[B, G, Ci, P]``,
+    with the padded extents, the flat tap offsets and the window length."""
+    xp = _padded(x, S, padding, groups)
+    offsets, n = _flat_windows(xp.shape[3:], x.shape[2:], np.ndindex(*S))
+    return xp.reshape(xp.shape[:3] + (-1,)), xp.shape[3:], offsets, n
+
+
+def _out_taps_fwd(x: np.ndarray, k: np.ndarray, padding: str, groups: int) -> np.ndarray:
+    """A conv with ``T Co <= Ci`` (a head that maps many channels to few):
+    one GEMM ``[T Co, Ci] @ x_padded`` over the flat padded input, read
+    once, then the ``T`` outputs' flat windows summed."""
+    B, D, G = x.shape[0], x.shape[2:], groups
+    Co, Ci = k.shape[0] // G, k.shape[1]
+    xf, padded, offsets, n = _flat_padded(x, k.shape[2:], padding, G)
+    kt = k.reshape(G, Co, Ci, -1).transpose(0, 3, 1, 2).reshape(G, -1, Ci)
+    y = np.matmul(kt, xf).reshape(B, G, len(offsets), Co, -1)
+    out = np.empty((B, G, Co, y.shape[-1]), dtype=y.dtype)
+    acc = out[..., :n]
+    acc[...] = y[:, :, 0, :, offsets[0] : offsets[0] + n]
+    for t, off in enumerate(offsets[1:], 1):
+        acc += y[:, :, t, :, off : off + n]
+    return np.ascontiguousarray(_interior(out, padded, D)).reshape((B, G * Co) + D)
+
+
+def _out_taps_bwd_kernel(
+    g: np.ndarray, x: np.ndarray, k_shape, padding: str, groups: int
+) -> np.ndarray:
+    """The kernel gradient of ``_out_taps_fwd``: one GEMM of the ``T``
+    shifted copies of ``g``, in the flat padded layout with zero junk
+    columns, against the padded input."""
+    B, D, G = x.shape[0], x.shape[2:], groups
+    Co, Ci = k_shape[0] // G, k_shape[1]
+    xf, padded, offsets, n = _flat_padded(x, k_shape[2:], padding, G)
+    P, T = xf.shape[-1], len(offsets)
+    gp = np.zeros((B, G, Co, P), dtype=g.dtype)
+    _interior(gp, padded, D)[...] = g.reshape((B, G, Co) + D)
+    gs = np.zeros((B, G, T, Co, P), dtype=g.dtype)
+    for t, off in enumerate(offsets):
+        gs[:, :, t, :, off : off + n] = gp[..., :n]
+    gk = np.matmul(gs.reshape(B, G, T * Co, P), xf.swapaxes(-1, -2))
+    gk = gk.sum(axis=0).reshape(G, T, Co, Ci).transpose(0, 2, 3, 1)
+    return np.ascontiguousarray(gk).reshape(k_shape)
+
+
 def _conv_fwd(x: np.ndarray, k: np.ndarray, padding: str, groups: int) -> np.ndarray:
     if _is_depthwise(k.shape, groups):
         return _depthwise_fwd(x, k, padding)
+    route = _dense_route(x.shape, k.shape, groups, x.itemsize)
+    if route == "outputs":
+        return _out_taps_fwd(x, k, padding, groups)
     B, D, G = x.shape[0], x.shape[2:], groups
     Co = k.shape[0] // G
     kk = k.reshape(G, Co, k.shape[1], -1)
     out = np.empty((B, G, Co, int(np.prod(D))), dtype=np.result_type(x, k))
+    if route == "slabs":
+        kk, out = kk.reshape(G, Co, -1), out.reshape((B, G, Co) + D)
+        for items, z0, z1, stack in _plane_slabs(x, k.shape, padding, G):
+            out[items, :, :, z0:z1] = _slab_planes(np.matmul(kk, stack), D, k.shape[2:])
+        return out.reshape((B, G * Co) + D)
     tmp = None
     for t0, t1, stack in _tap_chunks(x, k.shape, padding, G):
         # one tap: a basic index, cheaper than a reshape in a small per-tap loop
@@ -208,10 +381,22 @@ def _conv_bwd_kernel(
 ) -> np.ndarray:
     if _is_depthwise(k_shape, groups):
         return _depthwise_bwd_kernel(g, x, k_shape, padding)
+    route = _dense_route(x.shape, k_shape, groups, x.itemsize)
+    if route == "outputs":
+        return _out_taps_bwd_kernel(g, x, k_shape, padding, groups)
     B, G = x.shape[0], groups
     Ci, Co = k_shape[1], k_shape[0] // G
     gr = g.reshape(B, G, Co, -1)
     gk = np.empty((G, Co, Ci, int(np.prod(k_shape[2:]))), dtype=np.result_type(g, x))
+    if route == "slabs":
+        D, gv, gs = x.shape[2:], g.reshape((B, G, Co) + x.shape[2:]), gk.reshape(G, Co, -1)
+        gs[...] = 0
+        for items, z0, z1, stack in _plane_slabs(x, k_shape, padding, G):
+            # the tile of g in the stack's columns, zero on the junk ones
+            gp = np.zeros(stack.shape[:2] + (Co, stack.shape[-1]), dtype=g.dtype)
+            _slab_planes(gp, D, k_shape[2:])[...] = gv[items, :, :, z0:z1]
+            gs += (gp @ stack.swapaxes(-1, -2)).sum(axis=0)
+        return gk.reshape(k_shape)
     for t0, t1, stack in _tap_chunks(x, k_shape, padding, G):
         gc = (gr @ stack.swapaxes(-1, -2)).sum(axis=0)
         gk[..., t0:t1] = gc.reshape(G, Co, Ci, t1 - t0)

@@ -141,6 +141,46 @@ def test_check_equiv_missing_checkpoint_is_data_error(tmp_path):
     assert cli(["check-equiv", "--checkpoint", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"],
+    ["--tol", "inf"],
+    ["--tol", "0"],
+    ["--tol", "-0.001"],
+    ["--inputs", "0"],
+    ["--inputs", "-3"],
+])
+def test_check_equiv_without_a_check_is_usage_error(tmp_path, capsys, flags):
+    # a NaN tolerance or zero inputs would print "OK" having checked nothing
+    run = os.path.join(str(tmp_path), "fresh")
+    p = write_cfg(tmp_path, task="square_to_rectangle", epochs=0, out_dir=run)
+    assert cli(["train", "--config", p]) == 0
+    capsys.readouterr()
+    assert cli(["check-equiv", "--checkpoint", run] + flags) == 1
+    out, err = capsys.readouterr()
+    assert "OK" not in out
+    assert err.startswith(f"error: {flags[0]} must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--task", "flow_channel", "--size", "8", "--samples", "1"],
+    ["gen", "--task", "square_to_rectangle"],
+])
+def test_gen_negative_seed_is_one_line_usage_error(tmp_path, capsys, argv):
+    out = os.path.join(str(tmp_path), "data.rgt1")
+    assert cli(argv + ["--out", out, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed must be") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+def test_train_negative_seed_is_one_line_usage_error(tmp_path, capsys):
+    p = write_cfg(tmp_path, task="flow_channel", group="octahedral_24",
+                  flow_size=16, n_samples=2, epochs=1, seed=-1)
+    assert cli(["train", "--config", p]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be") and err.count("\n") == 1
+
+
 def test_check_grad_passes_on_discovery_config(tmp_path, capsys):
     p = write_cfg(tmp_path, task="square_to_rectangle")
     assert cli(["check-grad", "--config", p]) == 0

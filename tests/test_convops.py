@@ -13,7 +13,10 @@ from rgconv.autodiff import (
     tensor,
     zero_grads,
 )
+from rgconv import convops
 from rgconv.convops import (
+    _dense_route,
+    _plane_slabs,
     _tap_chunks,
     conv_nd,
     conv_transpose_nd,
@@ -200,6 +203,105 @@ def test_tap_chunk_gradients(D, G, Ci, Co, S, widths, padding):
     w = tensor(rng.normal(size=(1, G * Co) + D))
     check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), x)
     check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), k)
+
+
+# (route, spatial, groups, C_in, C_out, S) per group, a CACHE_BYTES at f64
+# (halved at f32) that sends these small shapes, at batch 3, down the
+# cache-sized routes, and the route's blocks: (items, planes) per slab tile,
+# channel rows per depthwise forward block
+ROUTE_CASES = [
+    ("slabs", (21, 4), 1, 2, 3, 3, 3500, [(3, 2)] * 10 + [(3, 1)]),  # partial planes
+    ("slabs", (21, 4), 1, 2, 3, 3, 1200, [(2, 1)] * 21 + [(1, 1)] * 21),  # items
+    ("slabs", (6, 3, 4), 1, 2, 14, 3, 2000, [(1, 1)] * 18),
+    ("outputs", (5, 6), 2, 9, 1, 3, 2000, None),
+    ("outputs", (3, 3, 3), 1, 28, 1, 3, 2000, None),
+    ("outputs", (5, 6), 1, 3, 2, 1, 2000, None),  # one tap
+    ("depthwise", (5, 6), 5, 1, 1, 3, 9000, [2, 2, 1]),
+    ("depthwise", (4, 3, 5), 5, 1, 1, 3, 9000, [1] * 5),
+]
+ROUTE_IDS = [f"{c[0]}-{len(c[1])}d-S{c[5]}-{c[6]}" for c in ROUTE_CASES]
+
+
+def route_conv(monkeypatch, case, dtype):
+    route, D, G, Ci, Co, S, budget, _ = case
+    monkeypatch.setattr(convops, "CACHE_BYTES", budget * np.dtype(dtype).itemsize // 8)
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(3, G * Ci) + D).astype(dtype)
+    k = rng.normal(size=(G * Co, Ci) + (S,) * len(D)).astype(dtype)
+    if route == "depthwise":
+        assert Ci == 1 and Co == 1
+    else:
+        assert _dense_route(x.shape, k.shape, G, x.itemsize) == route
+    return x, k
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES, ids=ROUTE_IDS)
+@pytest.mark.parametrize("padding", ["circular", "zero"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cache_sized_routes_match_per_group_reference(monkeypatch, case, padding, dtype):
+    route, D, G, Ci, Co, S, budget, blocks = case
+    x, k = route_conv(monkeypatch, case, dtype)
+    seen = []
+    if route == "slabs":
+        seen = [(b.stop - b.start, z1 - z0) for b, z0, z1, _ in _plane_slabs(x, k.shape, padding, G)]
+    elif route == "depthwise":
+        real = convops._row_blocks
+        monkeypatch.setattr(convops, "_row_blocks", lambda *a: seen.append(real(*a)) or seen[-1])
+    out = conv_nd(tensor(x), tensor(k), padding=padding, groups=G)
+    if route == "depthwise":
+        seen = [s.stop - s.start for s in seen[0]]
+    assert seen == (blocks or [])
+    assert out.shape == (3, G * Co) + D and out.dtype == dtype
+    tol = dict(rtol=1e-5, atol=1e-4) if dtype == np.float32 else dict(atol=1e-12)
+    for g in range(G):
+        ref = conv_ref(x[:, g * Ci : (g + 1) * Ci], k[g * Co : (g + 1) * Co], padding)
+        assert np.allclose(out.data[:, g * Co : (g + 1) * Co], ref, **tol)
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES, ids=ROUTE_IDS)
+@pytest.mark.parametrize("padding", ["circular", "zero"])
+def test_cache_sized_route_gradients(monkeypatch, case, padding):
+    x, k = route_conv(monkeypatch, case, np.float64)
+    G = case[2]
+    x, k = parameter(x), parameter(k)
+    w = tensor(np.random.default_rng(20).normal(size=(x.shape[0], k.shape[0]) + x.shape[2:]))
+    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), x)
+    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), k)
+
+
+@pytest.mark.parametrize("case,shape,kshape,groups,dtype,routes", [
+    ("super-resolution output conv", (4, 4, 32, 32, 32), (3, 4, 3, 3, 3), 1,
+     np.float32, ["slabs"] * 3),
+    ("its B = 1 inference", (1, 4, 32, 32, 32), (3, 4, 3, 3, 3), 1,
+     np.float32, ["chunks"] * 3),
+    ("O48 pooled head", (1, 192, 11, 11, 11), (1, 192, 3, 3, 3), 1,
+     np.float64, ["outputs", "chunks", "outputs"]),
+    ("C4 pooled head", (1, 32, 15, 15), (1, 32, 3, 3), 1,
+     np.float64, ["outputs", "chunks", "outputs"]),
+    # a window over the budget, but one plane's all-tap stack does not fit
+    ("O48 hidden layer", (1, 192, 11, 11, 11), (192, 192, 3, 3, 3), 1,
+     np.float64, ["chunks"] * 3),
+    ("separable spatial stage", (4, 96, 8, 8, 8), (96, 1, 3, 3, 3), 96,
+     np.float32, ["depthwise"] * 3),
+])
+def test_dense_conv_route(monkeypatch, case, shape, kshape, groups, dtype, routes):
+    # forward, input gradient and kernel gradient, in the order they run;
+    # the input gradient is a forward conv by the swapped, flipped kernel
+    calls = []
+    for name, route in [("_plane_slabs", "slabs"), ("_tap_chunks", "chunks"),
+                        ("_out_taps_fwd", "outputs"), ("_out_taps_bwd_kernel", "outputs"),
+                        ("_depthwise_fwd", "depthwise"),
+                        ("_depthwise_bwd_kernel", "depthwise")]:
+        def spy(*a, real=getattr(convops, name), route=route):
+            calls.append(route)
+            return real(*a)
+
+        monkeypatch.setattr(convops, name, spy)
+    rng = np.random.default_rng(21)
+    x = parameter(rng.normal(size=shape).astype(dtype))
+    k = parameter(rng.normal(size=kshape).astype(dtype))
+    backward(sum_(conv_nd(x, k, groups=groups)), params=[x, k])
+    assert calls == routes
 
 
 def test_conv_shape_errors():
