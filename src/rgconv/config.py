@@ -124,6 +124,10 @@ class ExperimentConfig:
             raise ConfigError("match_params applies only to the conv baseline")
         if self.grid_size % 2 == 0 or self.grid_size < 5:
             raise ConfigError(f"grid_size must be odd and >= 5, got {self.grid_size}")
+        if self.task in DISCOVERY_TASKS and self.kernel_size > self.grid_size:
+            raise ConfigError(
+                f"kernel_size {self.kernel_size} exceeds grid_size {self.grid_size}"
+            )
         if self.task in SUPERRES_TASKS:
             if self.flow_size % 4 != 0:
                 raise ConfigError(
@@ -131,6 +135,9 @@ class ExperimentConfig:
                 )
             if self.n_samples < 1:
                 raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
+            # the first convs run on the input grid; a loaded one is checked there
+            if not self.data_path and self.kernel_size > self.flow_size // 4:
+                raise ConfigError(f"kernel_size {self.kernel_size} exceeds flow_size / 4")
             if self.layer_kind != "conv" and not self.group.startswith("octahedral"):
                 raise ConfigError("flow tasks need a 3D group for group layer kinds")
         return self

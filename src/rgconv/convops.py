@@ -3,8 +3,8 @@
 Spatial convention: feature arrays are laid out ``[batch, channel, *spatial]``
 with 2 or 3 trailing spatial axes. Kernels are centered and odd-sized, and
 ``conv_nd`` computes cross-correlation: ``out(x) = sum_o k(o) in(x + o)`` with
-offsets ``o`` in ``[-(S-1)/2, (S-1)/2]^d``. Padding is ``circular`` (periodic
-wrap, the default everywhere in this package) or ``zero``.
+offsets ``o`` in ``[-(S-1)/2, (S-1)/2]^d``. Padding is circular (periodic
+wrap) only.
 
 Inner loops, by kernel shape. Each loop's tile is sized from the shapes so
 that its working set stays within ``CACHE_BYTES`` (1 MiB, half the per-core
@@ -35,12 +35,16 @@ L2 of the machine they were tuned on) and the input is read few times:
   separable layer's spatial stage) run a broadcast multiply-add per offset,
   over blocks of channel rows sized to the budget;
 - ``stuffed_conv_nd`` (the stride-2 transposed conv) runs one sub-pixel GEMM
-  per group (Shi et al., CVPR 2016): the ``2^d`` one-voxel shifts
-  of the input are stacked along K, the 3-stencil's taps are scattered into
-  a ``[2^d Ci, Co 2^d]`` kernel that maps them to the ``2^d`` output phases,
-  and the result's two last-axis phases of a voxel are written as one float
-  pair. Its backward reads ``g`` once per phase and runs the two transposed
-  GEMMs.
+  per group for every odd S (Shi et al., CVPR 2016): the ``(h + 1)^d``
+  shifts of the input, ``h = (S - 1) / 2``, are stacked along K, the
+  stencil's taps are scattered into a ``[(h + 1)^d Ci, Co 2^d]`` kernel
+  that maps them to the ``2^d`` output phases, and the result's two
+  last-axis phases of a voxel are written as one float pair. Its backward
+  reads ``g`` once per phase and runs the two transposed GEMMs. A
+  non-finite value is never dropped, but it also meets the kernel's zero
+  blocks (``0 * inf`` is NaN): a non-finite ``x`` makes ``y`` non-finite,
+  and a non-finite ``g`` both gradients, on other entries than in a conv
+  of the stuffed input.
 
 All but the tap chunks read flat windows: the padded input is flattened
 over its spatial axes (over each plane's, for the slabs), so the input at
@@ -56,8 +60,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, record, reshape
-from .errors import ConfigError, ShapeError
+from .autodiff import Tensor, flip, record, reshape, transpose
+from .errors import ShapeError
 
 # Bytes a conv loop's tile should keep its working set within: half the
 # 2 MiB per-core L2 of the machine the loops were tuned on.
@@ -67,20 +71,14 @@ __all__ = [
     "conv_nd",
     "conv_transpose_nd",
     "stuffed_conv_nd",
-    "zero_stuff",
     "take_last",
     "transform_group_kernel",
 ]
 
 
-def _pad_spatial(arr: np.ndarray, pads, padding: str) -> np.ndarray:
-    """Pad the trailing ``len(pads)`` axes by their ``(low, high)`` pairs,
-    each at most the axis extent."""
-    if padding == "zero":
-        pads = [(0, 0)] * (arr.ndim - len(pads)) + list(pads)
-        return np.pad(arr, pads, mode="constant")
-    if padding != "circular":
-        raise ConfigError(f"unknown padding {padding!r}")
+def _pad_spatial(arr: np.ndarray, pads) -> np.ndarray:
+    """Pad the trailing ``len(pads)`` axes circularly by their ``(low,
+    high)`` pairs, each at most the axis extent."""
     # the interior, then per axis the two halos as copies of its far ends,
     # over the padded extent of the axes before it and the interior of those
     # after it; cheaper than np.pad(mode="wrap") on small arrays
@@ -147,12 +145,12 @@ def _is_depthwise(k_shape, groups: int) -> bool:
     return k_shape[0] == groups and k_shape[1] == 1
 
 
-def _depthwise_windows(x: np.ndarray, S, padding: str):
+def _depthwise_windows(x: np.ndarray, S):
     """``x`` padded and laid out channel-major as ``[G, B * P]``, with the
     flat tap offsets and the window length. Item ``b + 1`` starts ``P``
     entries after item ``b``, so one window per tap covers the whole batch.
     """
-    xp = _pad_spatial(x.swapaxes(0, 1), [((s - 1) // 2,) * 2 for s in S], padding)
+    xp = _pad_spatial(x.swapaxes(0, 1), [((s - 1) // 2,) * 2 for s in S])
     padded = xp.shape[2:]
     offsets, n = _flat_windows(padded, x.shape[2:], np.ndindex(*S))
     n += (x.shape[0] - 1) * int(np.prod(padded))
@@ -166,11 +164,11 @@ def _row_blocks(rows: int, row_bytes: int):
     return [slice(r0, min(rows, r0 + r)) for r0 in range(0, rows, r)]
 
 
-def _depthwise_fwd(x: np.ndarray, k: np.ndarray, padding: str) -> np.ndarray:
+def _depthwise_fwd(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     # one stencil per channel: a broadcast multiply-add per tap, over blocks
     # of channel rows that stay in cache across the taps
     B, G, D = x.shape[0], x.shape[1], x.shape[2:]
-    xf, padded, offsets, n = _depthwise_windows(x, k.shape[2:], padding)
+    xf, padded, offsets, n = _depthwise_windows(x, k.shape[2:])
     taps = k.reshape(G, -1)
     out = np.empty(xf.shape, dtype=np.result_type(x, k))
     # working set: the block's input, output and product rows
@@ -186,11 +184,9 @@ def _depthwise_fwd(x: np.ndarray, k: np.ndarray, padding: str) -> np.ndarray:
     return np.ascontiguousarray(out.swapaxes(0, 1))
 
 
-def _depthwise_bwd_kernel(
-    g: np.ndarray, x: np.ndarray, k_shape, padding: str
-) -> np.ndarray:
+def _depthwise_bwd_kernel(g: np.ndarray, x: np.ndarray, k_shape) -> np.ndarray:
     B, G = x.shape[:2]
-    xf, padded, offsets, n = _depthwise_windows(x, k_shape[2:], padding)
+    xf, padded, offsets, n = _depthwise_windows(x, k_shape[2:])
     # g in the same layout, zero on the junk columns
     gp = np.zeros(xf.shape, dtype=g.dtype)
     _interior(gp.reshape((G, B, -1)), padded, x.shape[2:])[...] = g.swapaxes(0, 1)
@@ -218,14 +214,14 @@ def _dense_route(x_shape, k_shape, groups: int, itemsize: int) -> str:
     return "chunks"
 
 
-def _padded(x: np.ndarray, S, padding: str, groups: int) -> np.ndarray:
+def _padded(x: np.ndarray, S, groups: int) -> np.ndarray:
     """``x`` padded by the kernel's halo, as ``[B, G, Ci, *padded]``."""
     halos = [(s - 1) // 2 for s in S]
-    xp = _pad_spatial(x, [(h, h) for h in halos], padding)
+    xp = _pad_spatial(x, [(h, h) for h in halos])
     return xp.reshape((x.shape[0], groups, -1) + xp.shape[2:])
 
 
-def _tap_chunks(x: np.ndarray, k_shape, padding: str, groups: int):
+def _tap_chunks(x: np.ndarray, k_shape, groups: int):
     """Yield ``(t0, t1, stack)`` for each chunk of taps ``[t0, t1)``: the
     chunk's input windows as ``[B, G, Ci * (t1 - t0), vol]``, rows
     ``(ci, tap)``, matching ``k.reshape(G, Co, Ci, T)[..., t0:t1]``.
@@ -237,7 +233,7 @@ def _tap_chunks(x: np.ndarray, k_shape, padding: str, groups: int):
     """
     B, D, S = x.shape[0], x.shape[2:], k_shape[2:]
     Ci, Co = k_shape[1], k_shape[0] // groups
-    xp = _padded(x, S, padding, groups)
+    xp = _padded(x, S, groups)
     wins = [
         xp[(Ellipsis,) + tuple(slice(o, o + n) for o, n in zip(off, D))]
         for off in np.ndindex(*S)
@@ -255,7 +251,7 @@ def _tap_chunks(x: np.ndarray, k_shape, padding: str, groups: int):
         yield t0, t0 + n, stack
 
 
-def _plane_slabs(x: np.ndarray, k_shape, padding: str, groups: int):
+def _plane_slabs(x: np.ndarray, k_shape, groups: int):
     """Yield ``(items, z0, z1, stack)`` for each tile of batch ``items`` (a
     slice) and output planes ``[z0, z1)`` (along the first spatial axis):
     all ``T`` input windows of the tile as
@@ -272,7 +268,7 @@ def _plane_slabs(x: np.ndarray, k_shape, padding: str, groups: int):
     """
     B, D, S = x.shape[0], x.shape[2:], tuple(k_shape[2:])
     Ci, T = k_shape[1], int(np.prod(S))
-    xp = _padded(x, S, padding, groups)
+    xp = _padded(x, S, groups)
     P, st = xp.shape[3:], xp.strides
     L = D[1] * int(np.prod(P[2:]))
     m = L - (P[-1] - D[-1]) if len(D) == 3 else L
@@ -304,21 +300,21 @@ def _slab_planes(a: np.ndarray, D, S) -> np.ndarray:
     return a[(Ellipsis,) + tuple(slice(0, n) for n in D[2:])]
 
 
-def _flat_padded(x: np.ndarray, S, padding: str, groups: int):
+def _flat_padded(x: np.ndarray, S, groups: int):
     """``x`` padded and flattened over its spatial axes as ``[B, G, Ci, P]``,
     with the padded extents, the flat tap offsets and the window length."""
-    xp = _padded(x, S, padding, groups)
+    xp = _padded(x, S, groups)
     offsets, n = _flat_windows(xp.shape[3:], x.shape[2:], np.ndindex(*S))
     return xp.reshape(xp.shape[:3] + (-1,)), xp.shape[3:], offsets, n
 
 
-def _out_taps_fwd(x: np.ndarray, k: np.ndarray, padding: str, groups: int) -> np.ndarray:
+def _out_taps_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
     """A conv with ``T Co <= Ci`` (a head that maps many channels to few):
     one GEMM ``[T Co, Ci] @ x_padded`` over the flat padded input, read
     once, then the ``T`` outputs' flat windows summed."""
     B, D, G = x.shape[0], x.shape[2:], groups
     Co, Ci = k.shape[0] // G, k.shape[1]
-    xf, padded, offsets, n = _flat_padded(x, k.shape[2:], padding, G)
+    xf, padded, offsets, n = _flat_padded(x, k.shape[2:], G)
     kt = k.reshape(G, Co, Ci, -1).transpose(0, 3, 1, 2).reshape(G, -1, Ci)
     y = np.matmul(kt, xf).reshape(B, G, len(offsets), Co, -1)
     out = np.empty((B, G, Co, y.shape[-1]), dtype=y.dtype)
@@ -329,15 +325,13 @@ def _out_taps_fwd(x: np.ndarray, k: np.ndarray, padding: str, groups: int) -> np
     return np.ascontiguousarray(_interior(out, padded, D)).reshape((B, G * Co) + D)
 
 
-def _out_taps_bwd_kernel(
-    g: np.ndarray, x: np.ndarray, k_shape, padding: str, groups: int
-) -> np.ndarray:
+def _out_taps_bwd_kernel(g: np.ndarray, x: np.ndarray, k_shape, groups: int) -> np.ndarray:
     """The kernel gradient of ``_out_taps_fwd``: one GEMM of the ``T``
     shifted copies of ``g``, in the flat padded layout with zero junk
     columns, against the padded input."""
     B, D, G = x.shape[0], x.shape[2:], groups
     Co, Ci = k_shape[0] // G, k_shape[1]
-    xf, padded, offsets, n = _flat_padded(x, k_shape[2:], padding, G)
+    xf, padded, offsets, n = _flat_padded(x, k_shape[2:], G)
     P, T = xf.shape[-1], len(offsets)
     gp = np.zeros((B, G, Co, P), dtype=g.dtype)
     _interior(gp, padded, D)[...] = g.reshape((B, G, Co) + D)
@@ -349,23 +343,23 @@ def _out_taps_bwd_kernel(
     return np.ascontiguousarray(gk).reshape(k_shape)
 
 
-def _conv_fwd(x: np.ndarray, k: np.ndarray, padding: str, groups: int) -> np.ndarray:
+def _conv_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
     if _is_depthwise(k.shape, groups):
-        return _depthwise_fwd(x, k, padding)
+        return _depthwise_fwd(x, k)
     route = _dense_route(x.shape, k.shape, groups, x.itemsize)
     if route == "outputs":
-        return _out_taps_fwd(x, k, padding, groups)
+        return _out_taps_fwd(x, k, groups)
     B, D, G = x.shape[0], x.shape[2:], groups
     Co = k.shape[0] // G
     kk = k.reshape(G, Co, k.shape[1], -1)
     out = np.empty((B, G, Co, int(np.prod(D))), dtype=np.result_type(x, k))
     if route == "slabs":
         kk, out = kk.reshape(G, Co, -1), out.reshape((B, G, Co) + D)
-        for items, z0, z1, stack in _plane_slabs(x, k.shape, padding, G):
+        for items, z0, z1, stack in _plane_slabs(x, k.shape, G):
             out[items, :, :, z0:z1] = _slab_planes(np.matmul(kk, stack), D, k.shape[2:])
         return out.reshape((B, G * Co) + D)
     tmp = None
-    for t0, t1, stack in _tap_chunks(x, k.shape, padding, G):
+    for t0, t1, stack in _tap_chunks(x, k.shape, G):
         # one tap: a basic index, cheaper than a reshape in a small per-tap loop
         kc = kk[..., t0] if t1 == t0 + 1 else kk[..., t0:t1].reshape(G, Co, -1)
         if t0 == 0:
@@ -376,14 +370,12 @@ def _conv_fwd(x: np.ndarray, k: np.ndarray, padding: str, groups: int) -> np.nda
     return out.reshape((B, G * Co) + tuple(D))
 
 
-def _conv_bwd_kernel(
-    g: np.ndarray, x: np.ndarray, k_shape, padding: str, groups: int
-) -> np.ndarray:
+def _conv_bwd_kernel(g: np.ndarray, x: np.ndarray, k_shape, groups: int) -> np.ndarray:
     if _is_depthwise(k_shape, groups):
-        return _depthwise_bwd_kernel(g, x, k_shape, padding)
+        return _depthwise_bwd_kernel(g, x, k_shape)
     route = _dense_route(x.shape, k_shape, groups, x.itemsize)
     if route == "outputs":
-        return _out_taps_bwd_kernel(g, x, k_shape, padding, groups)
+        return _out_taps_bwd_kernel(g, x, k_shape, groups)
     B, G = x.shape[0], groups
     Ci, Co = k_shape[1], k_shape[0] // G
     gr = g.reshape(B, G, Co, -1)
@@ -391,13 +383,13 @@ def _conv_bwd_kernel(
     if route == "slabs":
         D, gv, gs = x.shape[2:], g.reshape((B, G, Co) + x.shape[2:]), gk.reshape(G, Co, -1)
         gs[...] = 0
-        for items, z0, z1, stack in _plane_slabs(x, k_shape, padding, G):
+        for items, z0, z1, stack in _plane_slabs(x, k_shape, G):
             # the tile of g in the stack's columns, zero on the junk ones
             gp = np.zeros(stack.shape[:2] + (Co, stack.shape[-1]), dtype=g.dtype)
             _slab_planes(gp, D, k_shape[2:])[...] = gv[items, :, :, z0:z1]
             gs += (gp @ stack.swapaxes(-1, -2)).sum(axis=0)
         return gk.reshape(k_shape)
-    for t0, t1, stack in _tap_chunks(x, k_shape, padding, G):
+    for t0, t1, stack in _tap_chunks(x, k_shape, G):
         gc = (gr @ stack.swapaxes(-1, -2)).sum(axis=0)
         gk[..., t0:t1] = gc.reshape(G, Co, Ci, t1 - t0)
     return gk.reshape(k_shape)
@@ -412,7 +404,7 @@ def _swap_flip_kernel(k: np.ndarray, groups: int) -> np.ndarray:
     return kg.reshape((G * k.shape[1], k.shape[0] // G) + k.shape[2:])
 
 
-def conv_nd(x: Tensor, kernel: Tensor, padding: str = "circular", groups: int = 1) -> Tensor:
+def conv_nd(x: Tensor, kernel: Tensor, groups: int = 1) -> Tensor:
     """Centered cross-correlation, stride 1, output size equal to input size.
 
     ``x`` is ``[B, groups * C_in, *D]`` and ``kernel`` is
@@ -426,67 +418,56 @@ def conv_nd(x: Tensor, kernel: Tensor, padding: str = "circular", groups: int = 
     def pull(g):
         gx = None
         if want_gx:
-            gx = _conv_fwd(g, _swap_flip_kernel(kd, groups), padding, groups)
-        return gx, _conv_bwd_kernel(g, xd, kd.shape, padding, groups)
+            gx = _conv_fwd(g, _swap_flip_kernel(kd, groups), groups)
+        return gx, _conv_bwd_kernel(g, xd, kd.shape, groups)
 
-    return record("conv_nd", _conv_fwd(xd, kd, padding, groups), (x, kernel), pull)
-
-
-def zero_stuff(x: Tensor, factor: int = 2) -> Tensor:
-    """Insert ``factor - 1`` zeros between samples along every spatial axis."""
-    if factor < 1:
-        raise ConfigError(f"stuffing factor must be positive, got {factor}")
-    d = x.ndim - 2
-    if d not in (2, 3):
-        raise ShapeError(f"expected [B, C, *spatial] input, got shape {x.shape}")
-    out_shape = x.shape[:2] + tuple(s * factor for s in x.shape[2:])
-    sl = (slice(None), slice(None)) + (slice(None, None, factor),) * d
-
-    def pull(g):
-        return (g[sl].copy(),)
-
-    out = np.zeros(out_shape, dtype=x.dtype)
-    out[sl] = x.data
-    return record("zero_stuff", out, (x,), pull)
+    return record("conv_nd", _conv_fwd(xd, kd, groups), (x, kernel), pull)
 
 
-def _phase_table(d: int) -> np.ndarray:
+def _phase_table(d: int, S: int) -> np.ndarray:
     """Flat stencil tap of each (output phase, input shift) pair, or -1.
 
-    Correlating a 2x zero-stuffed signal with an S=3 stencil, output voxel
-    ``2v + p`` (per axis) meets nonzero stuffed samples only at taps of
-    matching parity: phase 0 reads ``x[v]`` at tap 1, phase 1 reads ``x[v]``
-    at tap 0 and ``x[v + 1]`` at tap 2. Row ``phi``, column ``s`` (both
-    row-major over ``{0, 1}^d``) holds the tap that joins output phase
-    ``phi`` to the input shifted by ``s``; every tap appears exactly once.
+    Correlating a 2x zero-stuffed signal with a stencil of half-width
+    ``h = (S - 1) / 2``, output voxel ``2v + p`` (per axis) meets nonzero
+    stuffed samples only at taps of matching parity: phase ``p`` reads
+    ``x[v + s]`` at tap ``2s - p + h``, for the ``h + 1`` shifts ``s`` from
+    ``-floor(h / 2)`` to ``ceil(h / 2)`` whose tap lies in ``[0, S)``. At
+    S = 3, phase 0 reads ``x[v]`` at tap 1, and phase 1 reads ``x[v]`` at
+    tap 0 and ``x[v + 1]`` at tap 2. Row ``phi`` (row-major over
+    ``{0, 1}^d``), column ``s`` (row-major over the shifts) holds the tap
+    that joins output phase ``phi`` to the input shifted by ``s``; every
+    tap appears exactly once.
     """
-    per_axis = np.array([[1, -1], [0, 2]])  # [phase][shift] -> tap on one axis
-    bits = np.array(list(np.ndindex(*(2,) * d)))
-    taps = per_axis[bits[:, None], bits[None, :]]  # [phi, s, axis]
-    flat = taps @ 3 ** np.arange(d - 1, -1, -1)
-    return np.where((taps >= 0).all(axis=-1), flat, -1)
+    h = (S - 1) // 2
+    shifts = np.arange(-(h // 2), (h + 1) // 2 + 1)
+    per_axis = 2 * shifts - np.arange(2)[:, None] + h  # [phase][shift] -> tap
+    phases = np.array(list(np.ndindex(*(2,) * d)))
+    cols = np.array(list(np.ndindex(*(h + 1,) * d)))
+    taps = per_axis[phases[:, None], cols[None, :]]  # [phi, s, axis]
+    flat = taps @ S ** np.arange(d - 1, -1, -1)
+    return np.where(((taps >= 0) & (taps < S)).all(axis=-1), flat, -1)
 
 
 def _subpixel_kernel(k: np.ndarray, groups: int) -> np.ndarray:
-    """``[G, 2^d * Ci, Co * 2^d]`` GEMM kernel: rows ``(shift, ci)``, columns
+    """``[G, (h + 1)^d Ci, Co 2^d]`` GEMM kernel: rows ``(shift, ci)``, columns
     ``(co, phase)``, tap ``_phase_table[phase, shift]`` and zero where the
     pair meets no tap."""
-    d = k.ndim - 2
+    table = _phase_table(k.ndim - 2, k.shape[2])
     kg = k.reshape(groups, k.shape[0] // groups, k.shape[1], -1)
     # an appended zero tap: the table's -1 entries read it
     kg = np.concatenate([kg, np.zeros(kg.shape[:3] + (1,), kg.dtype)], axis=-1)
-    w = kg[..., _phase_table(d)].transpose(0, 4, 2, 1, 3)  # [G, s, Ci, Co, phi]
-    return np.ascontiguousarray(w).reshape(groups, 2**d * k.shape[1], -1)
+    w = kg[..., table].transpose(0, 4, 2, 1, 3)  # [G, s, Ci, Co, phi]
+    return np.ascontiguousarray(w).reshape(groups, table.shape[1] * k.shape[1], -1)
 
 
 def _subpixel_kernel_grad(gw: np.ndarray, k_shape) -> np.ndarray:
     """The kernel gradient: the valid blocks of a ``_subpixel_kernel``
     gradient, one per tap."""
-    d, G = len(k_shape) - 2, gw.shape[0]
-    Ci, Co = k_shape[1], k_shape[0] // G
-    gw = gw.reshape(G, 2**d, Ci, Co, 2**d).transpose(0, 3, 2, 4, 1)  # [G, Co, Ci, phi, s]
-    table = _phase_table(d)
-    gk = np.empty(gw.shape[:3] + (3**d,), dtype=gw.dtype)
+    G, Ci, Co = gw.shape[0], k_shape[1], k_shape[0] // gw.shape[0]
+    table = _phase_table(len(k_shape) - 2, k_shape[2])
+    gw = gw.reshape(G, table.shape[1], Ci, Co, table.shape[0])
+    gw = gw.transpose(0, 3, 2, 4, 1)  # [G, Co, Ci, phi, s]
+    gk = np.empty(gw.shape[:3] + (int(np.prod(k_shape[2:])),), dtype=gw.dtype)
     gk[..., table[table >= 0]] = gw[..., table >= 0]
     return gk.reshape(k_shape)
 
@@ -494,8 +475,9 @@ def _subpixel_kernel_grad(gw: np.ndarray, k_shape) -> np.ndarray:
 class _Subpixel:
     """Shared set-up of the sub-pixel forward and backward.
 
-    ``xf`` is ``x`` padded once, circularly, by one voxel on the high side of
-    each axis and laid out ``[G, Ci, B * P]``: item ``b + 1`` starts ``P``
+    ``xf`` is ``x`` padded once, circularly, by ``lo = floor(h / 2)`` voxels
+    on the low and ``ceil(h / 2)`` on the high side of each axis (``(0, 1)``
+    at S = 3), and laid out ``[G, Ci, B * P]``: item ``b + 1`` starts ``P``
     entries after item ``b``, so shift ``s`` of the whole batch is the flat
     window ``[off[s], off[s] + m)``. Its junk columns (voxels past the edge)
     are dropped by ``interior``. ``w`` is the ``_subpixel_kernel``. The batch
@@ -503,22 +485,23 @@ class _Subpixel:
     """
 
     def __init__(self, x: np.ndarray, k: np.ndarray, groups: int):
-        d = x.ndim - 2
-        xp = _pad_spatial(x.swapaxes(0, 1), [(0, 1)] * d, "circular")
+        d, h = x.ndim - 2, (k.shape[2] - 1) // 2
+        self.lo = h // 2
+        xp = _pad_spatial(x.swapaxes(0, 1), [(self.lo, h - self.lo)] * d)
         self.B, self.D, self.d, self.padded = x.shape[0], x.shape[2:], d, xp.shape[2:]
-        offsets, n = _flat_windows(self.padded, self.D, np.ndindex(*(2,) * d))
+        offsets, n = _flat_windows(self.padded, self.D, np.ndindex(*(h + 1,) * d))
         self.P = int(np.prod(self.padded))
         self.offsets, self.m = offsets, (self.B - 1) * self.P + n
-        self.xf = xp.reshape(groups, x.shape[1] // groups, -1)
+        self.Ci, self.Co = x.shape[1] // groups, k.shape[0] // groups
+        self.xf = xp.reshape(groups, self.Ci, -1)
         self.w = _subpixel_kernel(k, groups)
-        self.Ci, self.Co = self.w.shape[1] >> d, self.w.shape[2] >> d
 
     def stacks(self, dtype):
-        """Yield ``(g, stack)`` per group: the ``2^d`` windows of group ``g``
-        stacked along K, ``[K, m]`` with rows ``(shift, ci)``. ``stack`` is
-        one buffer, reused."""
+        """Yield ``(g, stack)`` per group: the ``(h + 1)^d`` windows of group
+        ``g`` stacked along K, ``[K, m]`` with rows ``(shift, ci)``. ``stack``
+        is one buffer, reused."""
         G, K, _ = self.w.shape
-        stack = np.empty((2**self.d, self.Ci, self.m), dtype=dtype)
+        stack = np.empty((len(self.offsets), self.Ci, self.m), dtype=dtype)
         for g in range(G):
             for j, off in enumerate(self.offsets):
                 stack[j] = self.xf[g, :, off : off + self.m]
@@ -579,53 +562,36 @@ def _stuffed_bwd(
         np.matmul(stack, gr[:, :m].T, out=gw[gi])
         if want_gx:
             gst = np.matmul(w[gi], gr[:, :m], out=stack)
-            gst = gst.reshape(2**d, sp.Ci, m)
+            gst = gst.reshape(len(sp.offsets), sp.Ci, m)
             for j, off in enumerate(sp.offsets):
                 gxp[gi, :, off : off + m] += gst[j]
     gk = _subpixel_kernel_grad(gw, k.shape)
     if not want_gx:
         return None, gk
-    # fold the wrapped high halo back onto the voxels it copies
-    v = gxp.reshape((G, sp.Ci, B) + sp.padded)
+    # fold the wrapped halos back onto the voxels they copy
+    v, lo = gxp.reshape((G, sp.Ci, B) + sp.padded), sp.lo
     for a, n in enumerate(D):
         ax = (slice(None),) * (3 + a)
-        v[ax + (slice(0, 1),)] += v[ax + (slice(n, n + 1),)]
-        v = v[ax + (slice(0, n),)]
-    gx = np.moveaxis(v, 2, 0).reshape(x.shape)
-    if not np.isfinite(gx).all():
-        # a non-finite g meets the GEMM kernel's zero blocks (0 * inf = nan):
-        # recompute as the composition does, a full conv taken at the samples
-        gx = _conv_fwd(g, _swap_flip_kernel(k, groups), "circular", groups)
-        gx = np.ascontiguousarray(gx[(Ellipsis,) + (slice(None, None, 2),) * d])
-    return gx, gk
+        v[ax + (slice(n, n + lo),)] += v[ax + (slice(0, lo),)]
+        v[ax + (slice(lo, sp.padded[a] - n),)] += v[ax + (slice(lo + n, None),)]
+        v = v[ax + (slice(lo, lo + n),)]
+    return np.moveaxis(v, 2, 0).reshape(x.shape), gk
 
 
-def stuffed_conv_nd(
-    x: Tensor, kernel: Tensor, padding: str = "circular", groups: int = 1
-) -> Tensor:
-    """Correlate a 2x zero-stuffed input: equals
-    ``conv_nd(zero_stuff(x, 2), kernel, padding, groups)``, so every spatial
-    extent doubles.
+def stuffed_conv_nd(x: Tensor, kernel: Tensor, groups: int = 1) -> Tensor:
+    """Correlate the 2x zero-stuffed input (one zero after every sample
+    along each spatial axis), so every spatial extent doubles.
 
-    A finite ``x`` with circular padding and a 3-stencil takes the sub-pixel
-    route: one GEMM of the ``2^d`` stacked input shifts by a
-    ``[2^d Ci, Co 2^d]`` kernel writes all ``2^d`` output phases. In 3D that
-    is 64 blocks per input voxel, 27 of them taps and the rest zero, against
-    the composition's 8 x 27. Anything else falls back to the composition.
-
-    Non-finite values land where the composition puts them. A non-finite
-    ``x`` takes the composition route. An input gradient that comes out
-    non-finite (a non-finite ``g`` times a zero block gives NaN) is
-    recomputed as the composition's. The kernel gradient sums each tap over
-    the input samples it meets only, so there, unlike in the composition, a
-    non-finite ``g`` never meets a stuffed zero.
+    One sub-pixel GEMM per group writes all ``2^d`` output phases, through a
+    kernel that holds each tap in one block and zeros elsewhere: in 3D at
+    S = 3, 64 blocks per input voxel, 27 of them taps, against the 8 x 27 of
+    a conv of the stuffed input. The module docstring gives where non-finite
+    values land.
     """
     _check_conv_args(
         x.shape[:2] + tuple(2 * n for n in x.shape[2:]), kernel.shape, groups
     )
     xd, kd = x.data, kernel.data
-    if padding != "circular" or kernel.shape[2] != 3 or not np.isfinite(xd).all():
-        return conv_nd(zero_stuff(x, 2), kernel, padding=padding, groups=groups)
     want_gx = _wants_grad(x)
 
     def pull(g):
@@ -636,7 +602,7 @@ def stuffed_conv_nd(
     )
 
 
-def conv_transpose_nd(x: Tensor, kernel: Tensor, padding: str = "circular") -> Tensor:
+def conv_transpose_nd(x: Tensor, kernel: Tensor) -> Tensor:
     """Stride-2 transposed convolution: doubles every spatial extent.
 
     ``x`` is ``[B, C_in, *D]``, ``kernel`` is ``[C_in, C_out, *S]`` (odd S).
@@ -644,8 +610,6 @@ def conv_transpose_nd(x: Tensor, kernel: Tensor, padding: str = "circular") -> T
     flipped, channel-swapped kernel, so it is the exact adjoint of the
     corresponding stride-2 strided correlation.
     """
-    from .autodiff import flip, transpose
-
     d = kernel.ndim - 2
     if x.ndim != d + 2:
         raise ShapeError(f"input rank {x.ndim} does not match kernel rank")
@@ -655,7 +619,7 @@ def conv_transpose_nd(x: Tensor, kernel: Tensor, padding: str = "circular") -> T
         )
     kt = transpose(kernel, (1, 0) + tuple(range(2, 2 + d)))
     kt = flip(kt, tuple(range(2, 2 + d)))
-    return stuffed_conv_nd(x, kt, padding=padding)
+    return stuffed_conv_nd(x, kt)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,6 @@ class _Layer:
         *,
         banks: int = 1,
         relaxed: bool | None = None,
-        padding: str = "circular",
         dtype=np.float64,
     ):
         if in_channels < 1 or out_channels < 1:
@@ -105,7 +104,6 @@ class _Layer:
         self.out_channels = out_channels
         self.banks = banks
         self.kernel_size = kernel_size
-        self.padding = padding
         self.dtype = dtype
         self._fan_in = []
         for attr, shape, fan_in in self._kernel_shapes():
@@ -170,7 +168,7 @@ class LiftingLayer(_GroupLayer):
         kt = take_last(self.kernels, self.cache.pi, self.cache.pi_inv)  # [H, L, Co, Ci, K]
         kt = sum_(mul(kt, self._w_rows(3)), axes=(1,))  # bank sum on the kernel
         kt = reshape(transpose(kt, (1, 0, 2, 3)), (Co * H, Ci) + S)
-        y = conv_nd(x, kt, padding=self.padding)
+        y = conv_nd(x, kt)
         return reshape(y, (x.shape[0], Co, H) + x.shape[2:])
 
     __call__ = forward
@@ -215,9 +213,9 @@ class RelaxedGConvLayer(_GroupLayer):
         if self.pool:
             row = reshape(transpose(self.w, (1, 0)), (1, H * L)) * (1.0 / H)
             kt = matmul(row, reshape(kt, (H * L, -1)))
-            return conv_nd(xf, reshape(kt, (Co, Ci * H) + S), padding=self.padding)
+            return conv_nd(xf, reshape(kt, (Co, Ci * H) + S))
         kt = reshape(kt, (H * L * Co, Ci * H) + S)
-        y = conv_nd(xf, kt, padding=self.padding)
+        y = conv_nd(xf, kt)
         y = sum_(mul(reshape(y, (B, H, L, Co) + D), self._w_rows(1 + d)), axes=(2,))
         return transpose(y, (0, 2, 1) + tuple(range(3, 3 + d)))
 
@@ -266,7 +264,7 @@ class SeparableRelaxedGConvLayer(_GroupLayer):
         pi = np.tile(self.cache.pi, (Co, 1))
         taps = take_last(self.psi_t, pi, np.tile(self.cache.pi_inv, (Co, 1)))
         kd = reshape(taps, (Co * H, L) + S)
-        y = conv_nd(s, kd, padding=self.padding, groups=Co * H)
+        y = conv_nd(s, kd, groups=Co * H)
         return reshape(y, (B, Co, H) + D)
 
     __call__ = forward
@@ -298,7 +296,7 @@ class GroupUpsampleConv(_GroupLayer):
         kt = reshape(kt, (H * Co, Ci) + S)
         xt = transpose(x, (0, 2, 1) + tuple(range(3, 3 + d)))
         xt = reshape(xt, (B, H * Ci) + D)
-        y = stuffed_conv_nd(xt, kt, padding=self.padding, groups=H)
+        y = stuffed_conv_nd(xt, kt, groups=H)
         y = reshape(y, (B, H, Co) + tuple(2 * n for n in D))
         return transpose(y, (0, 2, 1) + tuple(range(3, 3 + d)))
 
@@ -313,7 +311,7 @@ class ConvLayer(_Layer):
         return [("kernel", shape, self.in_channels * self.kernel_size ** self.dim)]
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv_nd(x, self.kernel, padding=self.padding)
+        return conv_nd(x, self.kernel)
 
     __call__ = forward
 
@@ -326,7 +324,7 @@ class ConvTransposeLayer(_Layer):
         return [("kernel", shape, self.in_channels * self.kernel_size ** self.dim)]
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv_transpose_nd(x, self.kernel, padding=self.padding)
+        return conv_transpose_nd(x, self.kernel)
 
     __call__ = forward
 

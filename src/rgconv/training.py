@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, backward, loss, no_grad, tensor, zero_grads
 from .config import DISCOVERY_TASKS, SUPERRES_TASKS, ExperimentConfig
 from .data import Dataset, gen_flow_dataset, gen_perovskite, gen_shape2d, rasterize
-from .errors import ConfigError, ShapeError, TrainingDiverged
+from .errors import ConfigError, DataError, ShapeError, TrainingDiverged
 from .groups import build_group
 from .models import Network, build_discovery_net, build_superres_net, param_count
 from .optim import make_optimizer, optimizer_step
@@ -100,6 +100,26 @@ def discovery_pair(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _check_flow_samples(samples) -> None:
+    """Raise ``ShapeError`` or ``DataError``, naming the tensor, unless
+    ``x_000`` is ``[C, *D]`` over a 3D grid and ``y_000`` ``[C', *4D]``, every
+    ``x_NNN`` and ``y_NNN`` has the shape of its ``_000``, and every value
+    is finite."""
+    x0, y0 = samples[0]
+    if x0.ndim != 4 or y0.shape[1:] != tuple(4 * n for n in x0.shape[1:]):
+        raise ShapeError(
+            f"dataset tensors x_000 {x0.shape} and y_000 {y0.shape} are not [C, *D] "
+            "and [C', *4D] over a 3D grid"
+        )
+    for i, pair in enumerate(samples):
+        for kind, a, first in zip("xy", pair, samples[0]):
+            name = f"{kind}_{i:03d}"
+            if a.shape != first.shape:
+                raise ShapeError(f"dataset tensor {name} {a.shape} differs from {kind}_000")
+            if not np.isfinite(a).all():
+                raise DataError(f"dataset tensor {name} holds non-finite values")
+
+
 def load_flow_dataset(config: ExperimentConfig) -> Dataset:
     """Generate the flow dataset, or load one from config.data_path."""
     if config.data_path:
@@ -113,6 +133,7 @@ def load_flow_dataset(config: ExperimentConfig) -> Dataset:
             i += 1
         if not samples:
             raise ShapeError(f"no x_NNN/y_NNN tensors in {config.data_path}")
+        _check_flow_samples(samples)
         return Dataset(samples=samples)
     anisotropy = config.task.split("_")[1]
     return gen_flow_dataset(

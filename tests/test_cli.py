@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import rgconv
 from rgconv import read_rgt1, write_rgt1
 from rgconv.cli import cli
 
@@ -210,6 +211,36 @@ def test_superres_relaxed_tiny_run(tmp_path, capsys):
     assert "relaxed:" in out and "test L1" in out
 
 
+@pytest.mark.parametrize("name,edit", [
+    ("x_004", lambda a: a[:, :2, :2, :2]),
+    ("y_001", lambda a: a[..., :-1]),
+    ("x_002", lambda a: a[..., None]),
+    ("y_000", None),  # every target on a grid 2x the input grid, not 4x
+    ("x_003", np.nan),
+    ("y_002", np.inf),
+], ids=["small-x", "cut-y", "rank-5-x", "2x-grid-y", "nan-x", "inf-y"])
+def test_train_on_bad_flow_dataset_is_one_line_data_error(tmp_path, capsys, name, edit):
+    data = os.path.join(str(tmp_path), "flow.rgt1")
+    assert cli(["gen", "--task", "flow_isotropic", "--out", data, "--size", "16",
+                "--samples", "6"]) == 0
+    blobs = read_rgt1(data)
+    if edit is None:
+        blobs.update({n: a[:, ::2, ::2, ::2] for n, a in blobs.items() if n[0] == "y"})
+    elif callable(edit):
+        blobs[name] = edit(blobs[name])
+    else:
+        blobs[name].flat[5] = edit
+    write_rgt1(data, list(blobs.items()))
+    p = write_cfg(tmp_path, task="flow_isotropic", group="octahedral_24",
+                  channels=2, blocks=1, epochs=1, precision="f32",
+                  batch_size=2, data_path=data)
+    capsys.readouterr()
+    assert cli(["train", "--config", p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert name in err
+
+
 def test_superres_on_discovery_config_is_usage_error(tmp_path):
     p = write_cfg(tmp_path, task="square_to_square")
     assert cli(["superres", "--config", p, "--baseline", "conv"]) == 1
@@ -264,13 +295,17 @@ def test_analyze_non_finite_weight_is_data_error(tmp_path, capsys, bad):
 
 
 def test_module_entry_point(tmp_path):
+    # the child process imports the same rgconv as this one, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rgconv.__file__)))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = os.path.join(str(tmp_path), "sq.rgt1")
     proc = subprocess.run(
         [sys.executable, "-m", "rgconv", "gen", "--task", "square_to_square",
          "--out", out],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(out)
-    proc = subprocess.run([sys.executable, "-m", "rgconv"], capture_output=True)
+    proc = subprocess.run([sys.executable, "-m", "rgconv"], capture_output=True, env=env)
     assert proc.returncode == 1

@@ -9,6 +9,7 @@ from rgconv.autodiff import (
     finite_diff_grad,
     mul,
     parameter,
+    record,
     sum_,
     tensor,
     zero_grads,
@@ -23,14 +24,14 @@ from rgconv.convops import (
     stuffed_conv_nd,
     take_last,
     transform_group_kernel,
-    zero_stuff,
 )
 from rgconv.errors import ShapeError
 from rgconv.groups import build_group
 
 
-def conv_ref(x, k, padding):
-    """Direct sextuple-loop cross-correlation; the independent oracle."""
+def conv_ref(x, k):
+    """Direct sextuple-loop circular cross-correlation; the independent
+    oracle."""
     B, Ci = x.shape[:2]
     Co = k.shape[0]
     D = x.shape[2:]
@@ -44,14 +45,20 @@ def conv_ref(x, k, padding):
                 acc = 0.0
                 for ci in range(Ci):
                     for off in np.ndindex(*(S,) * d):
-                        src = [pos[i] + off[i] - h for i in range(d)]
-                        if padding == "circular":
-                            src = [s % D[i] for i, s in enumerate(src)]
-                        elif any(not 0 <= s < D[i] for i, s in enumerate(src)):
-                            continue
+                        src = [(pos[i] + off[i] - h) % D[i] for i in range(d)]
                         acc += k[(co, ci) + tuple(off)] * x[(b, ci) + tuple(src)]
                 out[(b, co) + pos] = acc
     return out
+
+
+def zero_stuff(x):
+    """One zero after every sample along each spatial axis, on the tape; a
+    dense conv of it is the oracle of ``stuffed_conv_nd``."""
+    d = x.ndim - 2
+    sl = (slice(None), slice(None)) + (slice(None, None, 2),) * d
+    out = np.zeros(x.shape[:2] + tuple(2 * n for n in x.shape[2:]), dtype=x.dtype)
+    out[sl] = x.data
+    return record("zero_stuff", out, (x,), lambda g: (g[sl].copy(),))
 
 
 def check_grad(make_loss, theta, atol=1e-8, rtol=1e-5):
@@ -61,23 +68,21 @@ def check_grad(make_loss, theta, atol=1e-8, rtol=1e-5):
     assert np.allclose(theta.grad, numeric, atol=atol, rtol=rtol)
 
 
-@pytest.mark.parametrize("padding", ["circular", "zero"])
-def test_conv2d_matches_reference(padding):
+def test_conv2d_matches_reference():
     rng = np.random.default_rng(0)
     x = tensor(rng.normal(size=(2, 2, 5, 5)))
     k = tensor(rng.normal(size=(3, 2, 3, 3)))
-    out = conv_nd(x, k, padding=padding)
+    out = conv_nd(x, k)
     assert out.shape == (2, 3, 5, 5)
-    assert np.allclose(out.data, conv_ref(x.data, k.data, padding), atol=1e-12)
+    assert np.allclose(out.data, conv_ref(x.data, k.data), atol=1e-12)
 
 
-@pytest.mark.parametrize("padding", ["circular", "zero"])
-def test_conv3d_matches_reference(padding):
+def test_conv3d_matches_reference():
     rng = np.random.default_rng(1)
     x = tensor(rng.normal(size=(1, 2, 4, 4, 4)))
     k = tensor(rng.normal(size=(2, 2, 3, 3, 3)))
-    out = conv_nd(x, k, padding=padding)
-    assert np.allclose(out.data, conv_ref(x.data, k.data, padding), atol=1e-12)
+    out = conv_nd(x, k)
+    assert np.allclose(out.data, conv_ref(x.data, k.data), atol=1e-12)
 
 
 def test_conv_delta_kernel_is_identity():
@@ -110,50 +115,45 @@ def test_grouped_conv_matches_per_group_reference():
     k = rng.normal(size=(G * Co, Ci, 3, 3))
     out = conv_nd(tensor(x), tensor(k), groups=G).data
     for g in range(G):
-        ref = conv_ref(
-            x[:, g * Ci : (g + 1) * Ci], k[g * Co : (g + 1) * Co], "circular"
-        )
+        ref = conv_ref(x[:, g * Ci : (g + 1) * Ci], k[g * Co : (g + 1) * Co])
         assert np.allclose(out[:, g * Co : (g + 1) * Co], ref, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("padding", ["circular", "zero"])
 @pytest.mark.parametrize("S", [3, 5])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_depthwise_conv_matches_per_group_reference(d, padding, S, dtype):
+def test_depthwise_conv_matches_per_group_reference(d, S, dtype):
     # one input and one output channel per group: the broadcast path
     rng = np.random.default_rng(15)
     G = 3
     x = rng.normal(size=(2, G) + (5, 6, 5)[:d]).astype(dtype)
     k = rng.normal(size=(G, 1) + (S,) * d).astype(dtype)
-    out = conv_nd(tensor(x), tensor(k), padding=padding, groups=G)
+    out = conv_nd(tensor(x), tensor(k), groups=G)
     assert out.shape == x.shape and out.dtype == dtype
     tol = dict(rtol=1e-5, atol=1e-4) if dtype == np.float32 else dict(atol=1e-12)
     for g in range(G):
-        ref = conv_ref(x[:, g : g + 1], k[g : g + 1], padding)
+        ref = conv_ref(x[:, g : g + 1], k[g : g + 1])
         assert np.allclose(out.data[:, g : g + 1], ref, **tol)
 
 
 @pytest.mark.parametrize("xshape,S", [((2, 3, 5, 6), 5), ((2, 3, 4, 5, 3), 3)])
-@pytest.mark.parametrize("padding", ["circular", "zero"])
-def test_depthwise_conv_gradients(xshape, S, padding):
+def test_depthwise_conv_gradients(xshape, S):
     rng = np.random.default_rng(16)
     G, d = xshape[1], len(xshape) - 2
     x = parameter(rng.normal(size=xshape))
     k = parameter(rng.normal(size=(G, 1) + (S,) * d))
     w = tensor(rng.normal(size=xshape))
-    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), x)
-    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), k)
+    check_grad(lambda: sum_(mul(conv_nd(x, k, groups=G), w)), x)
+    check_grad(lambda: sum_(mul(conv_nd(x, k, groups=G), w)), k)
 
 
-@pytest.mark.parametrize("padding", ["circular", "zero"])
-def test_conv_gradients(padding):
+def test_conv_gradients():
     rng = np.random.default_rng(5)
     x = parameter(rng.normal(size=(2, 2, 4, 4)))
     k = parameter(rng.normal(size=(2, 2, 3, 3)))
     w = tensor(rng.normal(size=(2, 2, 4, 4)))
-    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding), w)), x)
-    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding), w)), k)
+    check_grad(lambda: sum_(mul(conv_nd(x, k), w)), x)
+    check_grad(lambda: sum_(mul(conv_nd(x, k), w)), k)
 
 
 def test_conv3d_grouped_gradients():
@@ -182,27 +182,24 @@ def test_tap_chunks_match_per_group_reference(D, G, Ci, Co, S, widths, dtype):
     rng = np.random.default_rng(17)
     x = rng.normal(size=(2, G * Ci) + D).astype(dtype)
     k = rng.normal(size=(G * Co, Ci) + (S,) * len(D)).astype(dtype)
-    chunks = _tap_chunks(x, k.shape, "circular", G)
+    chunks = _tap_chunks(x, k.shape, G)
     assert [t1 - t0 for t0, t1, _ in chunks] == widths
     out = conv_nd(tensor(x), tensor(k), groups=G)
     assert out.shape == (2, G * Co) + D and out.dtype == dtype
     tol = dict(rtol=1e-5, atol=1e-4) if dtype == np.float32 else dict(atol=1e-12)
     for g in range(G):
-        ref = conv_ref(
-            x[:, g * Ci : (g + 1) * Ci], k[g * Co : (g + 1) * Co], "circular"
-        )
+        ref = conv_ref(x[:, g * Ci : (g + 1) * Ci], k[g * Co : (g + 1) * Co])
         assert np.allclose(out.data[:, g * Co : (g + 1) * Co], ref, **tol)
 
 
 @pytest.mark.parametrize("D,G,Ci,Co,S,widths", TAP_CHUNK_CASES[1:4])
-@pytest.mark.parametrize("padding", ["circular", "zero"])
-def test_tap_chunk_gradients(D, G, Ci, Co, S, widths, padding):
+def test_tap_chunk_gradients(D, G, Ci, Co, S, widths):
     rng = np.random.default_rng(18)
     x = parameter(rng.normal(size=(1, G * Ci) + D))
     k = parameter(rng.normal(size=(G * Co, Ci) + (S,) * len(D)))
     w = tensor(rng.normal(size=(1, G * Co) + D))
-    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), x)
-    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), k)
+    check_grad(lambda: sum_(mul(conv_nd(x, k, groups=G), w)), x)
+    check_grad(lambda: sum_(mul(conv_nd(x, k, groups=G), w)), k)
 
 
 # (route, spatial, groups, C_in, C_out, S) per group, a CACHE_BYTES at f64
@@ -236,37 +233,35 @@ def route_conv(monkeypatch, case, dtype):
 
 
 @pytest.mark.parametrize("case", ROUTE_CASES, ids=ROUTE_IDS)
-@pytest.mark.parametrize("padding", ["circular", "zero"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_cache_sized_routes_match_per_group_reference(monkeypatch, case, padding, dtype):
+def test_cache_sized_routes_match_per_group_reference(monkeypatch, case, dtype):
     route, D, G, Ci, Co, S, budget, blocks = case
     x, k = route_conv(monkeypatch, case, dtype)
     seen = []
     if route == "slabs":
-        seen = [(b.stop - b.start, z1 - z0) for b, z0, z1, _ in _plane_slabs(x, k.shape, padding, G)]
+        seen = [(b.stop - b.start, z1 - z0) for b, z0, z1, _ in _plane_slabs(x, k.shape, G)]
     elif route == "depthwise":
         real = convops._row_blocks
         monkeypatch.setattr(convops, "_row_blocks", lambda *a: seen.append(real(*a)) or seen[-1])
-    out = conv_nd(tensor(x), tensor(k), padding=padding, groups=G)
+    out = conv_nd(tensor(x), tensor(k), groups=G)
     if route == "depthwise":
         seen = [s.stop - s.start for s in seen[0]]
     assert seen == (blocks or [])
     assert out.shape == (3, G * Co) + D and out.dtype == dtype
     tol = dict(rtol=1e-5, atol=1e-4) if dtype == np.float32 else dict(atol=1e-12)
     for g in range(G):
-        ref = conv_ref(x[:, g * Ci : (g + 1) * Ci], k[g * Co : (g + 1) * Co], padding)
+        ref = conv_ref(x[:, g * Ci : (g + 1) * Ci], k[g * Co : (g + 1) * Co])
         assert np.allclose(out.data[:, g * Co : (g + 1) * Co], ref, **tol)
 
 
 @pytest.mark.parametrize("case", ROUTE_CASES, ids=ROUTE_IDS)
-@pytest.mark.parametrize("padding", ["circular", "zero"])
-def test_cache_sized_route_gradients(monkeypatch, case, padding):
+def test_cache_sized_route_gradients(monkeypatch, case):
     x, k = route_conv(monkeypatch, case, np.float64)
     G = case[2]
     x, k = parameter(x), parameter(k)
     w = tensor(np.random.default_rng(20).normal(size=(x.shape[0], k.shape[0]) + x.shape[2:]))
-    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), x)
-    check_grad(lambda: sum_(mul(conv_nd(x, k, padding=padding, groups=G), w)), k)
+    check_grad(lambda: sum_(mul(conv_nd(x, k, groups=G), w)), x)
+    check_grad(lambda: sum_(mul(conv_nd(x, k, groups=G), w)), k)
 
 
 @pytest.mark.parametrize("case,shape,kshape,groups,dtype,routes", [
@@ -320,7 +315,7 @@ def test_conv_shape_errors():
 
 def test_zero_stuff_placement():
     x = tensor(np.arange(4.0).reshape(1, 1, 2, 2))
-    out = zero_stuff(x, 2)
+    out = zero_stuff(x)
     assert out.shape == (1, 1, 4, 4)
     expect = np.zeros((4, 4))
     expect[::2, ::2] = x.data[0, 0]
@@ -339,12 +334,24 @@ def test_stuffed_conv_matches_composition():
         ((2, 3, 2, 5), (2, 3, 3, 3), 1, np.float64),
         ((1, 4, 2, 3, 2), (4, 2, 3, 3, 3), 2, np.float64),
         ((2, 8, 4, 3, 5), (8, 4, 3, 3, 3), 2, np.float32),
+        # S = 1: one shift, and phase 1 meets no tap
+        ((2, 4, 3, 4), (6, 2, 1, 1), 2, np.float64),
+        ((1, 4, 2, 3, 2), (4, 2, 1, 1, 1), 2, np.float64),
+        ((2, 6, 3, 2, 4), (9, 2, 1, 1, 1), 3, np.float32),
+        # S = 5 and 7: halos on both sides; extent h + 1 is the smallest
+        # that fits, so some voxels wrap on both
+        ((2, 4, 3, 5), (6, 2, 5, 5), 2, np.float64),
+        ((1, 6, 3, 4, 3), (3, 2, 5, 5, 5), 3, np.float64),
+        ((2, 4, 3, 4, 3), (4, 2, 5, 5, 5), 2, np.float32),
+        ((1, 4, 4, 5), (4, 2, 7, 7), 2, np.float64),
+        ((1, 4, 4, 4, 5), (2, 2, 7, 7, 7), 2, np.float64),
+        ((2, 4, 5, 4), (6, 2, 7, 7), 2, np.float32),
     ]
     for xshape, kshape, groups, dtype in cases:
         x = tensor(rng.normal(size=xshape).astype(dtype))
         k = tensor(rng.normal(size=kshape).astype(dtype))
         fast = stuffed_conv_nd(x, k, groups=groups)
-        ref = conv_nd(zero_stuff(x, 2), k, groups=groups)
+        ref = conv_nd(zero_stuff(x), k, groups=groups)
         assert fast.shape == ref.shape and fast.dtype == dtype
         atol = 1e-5 if dtype == np.float32 else 1e-12
         assert np.allclose(fast.data, ref.data, atol=atol)
@@ -357,32 +364,42 @@ def test_stuffed_conv_rejects_extent_one_like_composition():
     with pytest.raises(ShapeError):
         stuffed_conv_nd(x, k)
     with pytest.raises(ShapeError):
-        conv_nd(zero_stuff(x, 2), k)
+        conv_nd(zero_stuff(x), k)
 
 
 def test_stuffed_conv_gradients_match_composition():
     rng = np.random.default_rng(13)
-    cases = [
-        ((1, 4, 3, 4, 3), np.float64),
-        ((1, 4, 2, 3, 2), np.float64),  # extent 2
-        ((2, 4, 3, 2, 4), np.float32),
+    cases = [  # input shape, S, dtype; kernel [4, 2, S^d], groups 2
+        ((1, 4, 3, 4, 3), 3, np.float64),
+        ((1, 4, 2, 3, 2), 3, np.float64),  # extent 2
+        ((2, 4, 3, 2, 4), 3, np.float32),
+        ((2, 4, 3, 4), 1, np.float64),
+        ((1, 4, 2, 3, 2), 1, np.float64),
+        ((2, 4, 3, 2, 4), 1, np.float32),
+        ((2, 4, 3, 5), 5, np.float64),
+        ((1, 4, 3, 4, 3), 5, np.float64),
+        ((2, 4, 3, 3, 4), 5, np.float32),
+        ((1, 4, 4, 5), 7, np.float64),
+        ((1, 4, 4, 4, 5), 7, np.float64),
+        ((2, 4, 5, 4), 7, np.float32),
     ]
-    for xshape, dtype in cases:
+    for xshape, S, dtype in cases:
         x = parameter(rng.normal(size=xshape).astype(dtype))
-        k = parameter(rng.normal(size=(4, 2, 3, 3, 3)).astype(dtype))
+        k = parameter(rng.normal(size=(4, 2) + (S,) * (len(xshape) - 2)).astype(dtype))
         wshape = xshape[:2] + tuple(2 * n for n in xshape[2:])
         w = tensor(rng.normal(size=wshape).astype(dtype))
         zero_grads([x, k])
         backward(sum_(mul(stuffed_conv_nd(x, k, groups=2), w)), params=[x, k])
         gx, gk = x.grad.copy(), k.grad.copy()
         zero_grads([x, k])
-        backward(sum_(mul(conv_nd(zero_stuff(x, 2), k, groups=2), w)), params=[x, k])
+        backward(sum_(mul(conv_nd(zero_stuff(x), k, groups=2), w)), params=[x, k])
         assert gx.dtype == gk.dtype == dtype
         atol = 1e-4 if dtype == np.float32 else 1e-12
         assert np.allclose(gx, x.grad, atol=atol)
         assert np.allclose(gk, k.grad, atol=atol)
-        if dtype == np.float64:
+        if dtype == np.float64 and S <= 5:
             # finite differences as a second, route-independent check
+            # (over the 7^d kernels it takes seconds)
             check_grad(lambda: sum_(mul(stuffed_conv_nd(x, k, groups=2), w)), x)
             check_grad(lambda: sum_(mul(stuffed_conv_nd(x, k, groups=2), w)), k)
 
@@ -410,24 +427,6 @@ def test_constant_input_gets_no_gradient(route):
     assert np.array_equal(gk, gk_live)
 
 
-def test_stuffed_conv_fallback_routes():
-    # extent 5 and zero padding leave the fast path; results must not change
-    rng = np.random.default_rng(14)
-    x = tensor(rng.normal(size=(1, 2, 4, 4)))
-    k5 = tensor(rng.normal(size=(2, 2, 5, 5)))
-    assert np.allclose(
-        stuffed_conv_nd(x, k5).data,
-        conv_nd(zero_stuff(x, 2), k5).data,
-        atol=1e-12,
-    )
-    k3 = tensor(rng.normal(size=(2, 2, 3, 3)))
-    assert np.allclose(
-        stuffed_conv_nd(x, k3, padding="zero").data,
-        conv_nd(zero_stuff(x, 2), k3, padding="zero").data,
-        atol=1e-12,
-    )
-
-
 def stuffed_grads(op, x, k, g, groups):
     """``y``, ``gx`` and ``gk`` of ``op`` with upstream gradient ``g``."""
     xt, kt = parameter(x), parameter(k)
@@ -438,32 +437,35 @@ def stuffed_grads(op, x, k, g, groups):
 
 def stuffed_kernel_grad_ref(g, x, k_shape, groups):
     """Kernel gradient summed per (output phase, tap) over the input samples
-    that tap meets: along an axis, tap 1 joins phase 0 to ``x[v]``, tap 0
-    joins phase 1 to ``x[v]`` and tap 2 joins phase 1 to ``x[v + 1]``."""
+    that tap meets: along an axis, tap ``t`` of a stencil of half-width
+    ``h`` joins phase ``p = (h - t) mod 2`` to ``x[v + (t + p - h) / 2]``."""
     B, d = x.shape[0], x.ndim - 2
     Co, Ci = k_shape[0] // groups, k_shape[1]
+    h = (k_shape[2] - 1) // 2
     gk = np.zeros(k_shape)
     for tap in np.ndindex(*k_shape[2:]):
-        phase = tuple(slice(0 if c == 1 else 1, None, 2) for c in tap)
-        shifted = np.roll(x, [-(c == 2) for c in tap], axis=tuple(range(2, 2 + d)))
-        gp = g[(Ellipsis,) + phase].reshape(B, groups, Co, -1)
+        phases = [(h - t) % 2 for t in tap]
+        shifts = [(t + p - h) // 2 for t, p in zip(tap, phases)]
+        shifted = np.roll(x, [-s for s in shifts], axis=tuple(range(2, 2 + d)))
+        gp = g[(Ellipsis,) + tuple(slice(p, None, 2) for p in phases)]
+        gp = gp.reshape(B, groups, Co, -1)
         xs = shifted.reshape(B, groups, Ci, -1)
         gk[(Ellipsis,) + tap] = np.einsum("bgov,bgiv->goi", gp, xs).reshape(-1, Ci)
     return gk
 
 
-def masks(a):
-    return np.isnan(a), np.isposinf(a), np.isneginf(a)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in the composition
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in the GEMMs
 @pytest.mark.parametrize("where", ["x", "g"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("xshape,kshape,at", [
     ((2, 4, 3, 4), (6, 2, 3, 3), (1, 3, 2, 1)),
     ((2, 4, 3, 2, 3), (4, 2, 3, 3, 3), (0, 2, 1, 1, 2)),
+    ((2, 4, 3, 4, 3), (4, 2, 5, 5, 5), (1, 0, 2, 0, 1)),
 ])
-def test_stuffed_conv_non_finite_lands_like_composition(xshape, kshape, at, bad, where):
+def test_stuffed_conv_non_finite_is_never_dropped(xshape, kshape, at, bad, where):
+    # the contract the training loop relies on to raise TrainingDiverged: a
+    # non-finite x makes y non-finite, a non-finite g makes gx and gk
+    # non-finite, on every entry where a conv of the stuffed input puts it
     rng = np.random.default_rng(15)
     groups = 2
     x = rng.normal(size=xshape)
@@ -476,19 +478,18 @@ def test_stuffed_conv_non_finite_lands_like_composition(xshape, kshape, at, bad,
         g[at[:2] + tuple(2 * i for i in at[2:])] = bad
     fast = stuffed_grads(stuffed_conv_nd, x, k, g, groups)
     comp = stuffed_grads(
-        lambda a, b, groups: conv_nd(zero_stuff(a, 2), b, groups=groups),
+        lambda a, b, groups: conv_nd(zero_stuff(a), b, groups=groups),
         x, k, g, groups,
     )
-    # a bad x reaches y, a bad g reaches gx; either reaches gk
-    assert np.isfinite(comp[0]).all() == (where == "g")
-    assert np.isfinite(comp[1]).all() == (where == "x")
-    for got, want in zip(fast[:2], comp[:2]):  # y and gx
-        for m_got, m_want in zip(masks(got), masks(want)):
-            assert np.array_equal(m_got, m_want)
-    ref = stuffed_kernel_grad_ref(g, x, kshape, groups)
-    assert not np.isfinite(ref).all()
-    for m_got, m_want in zip(masks(fast[2]), masks(ref)):
-        assert np.array_equal(m_got, m_want)
+    # a bad x reaches y and not gx, a bad g reaches gx and not y; the
+    # composition's gk meets a bad g at every tap, so gk is held to the sum
+    # of each tap over the input samples it meets only
+    live = 0 if where == "x" else 1
+    assert np.isfinite(fast[1 - live]).all()
+    want = (comp[live], stuffed_kernel_grad_ref(g, x, kshape, groups))
+    for got, ref in zip((fast[live], fast[2]), want):
+        assert not np.isfinite(ref).all()
+        assert (~np.isfinite(got) >= ~np.isfinite(ref)).all()
 
 
 def test_stuffed_conv_pull_takes_non_contiguous_gradient():
@@ -506,51 +507,42 @@ def test_stuffed_conv_pull_takes_non_contiguous_gradient():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the sum
-@pytest.mark.parametrize("case,stuffs", [
-    ("finite circular S=3", False),
-    ("non-finite input", True),
-    ("zero padding", True),
-    ("S=5", True),
-])
-def test_stuffed_conv_route(monkeypatch, case, stuffs):
-    # only the finite, circular 3-stencil case takes the sub-pixel route;
-    # every other case goes through the literal composition
-    from rgconv import convops
-
+@pytest.mark.parametrize("case", ["S=1", "S=3", "S=5", "S=7", "non-finite input"])
+def test_stuffed_conv_route(monkeypatch, case):
+    # one sub-pixel route: no stencil size and no input value sends the
+    # forward or the backward through a dense conv
     calls = []
-    real = convops.zero_stuff
+    for name in ("conv_nd", "_conv_fwd", "_conv_bwd_kernel"):
+        def spy(*a, real=getattr(convops, name), name=name, **kw):
+            calls.append(name)
+            return real(*a, **kw)
 
-    def spy(x, factor=2):
-        calls.append(x.shape)
-        return real(x, factor)
-
-    monkeypatch.setattr(convops, "zero_stuff", spy)
+        monkeypatch.setattr(convops, name, spy)
     rng = np.random.default_rng(18)
     x = rng.normal(size=(2, 4, 5, 5))
-    # each case changes one route condition; the stuffed extent 10 fits S=5
-    S = 5 if case == "S=5" else 3
-    padding = "zero" if case == "zero padding" else "circular"
+    S = 3 if case == "non-finite input" else int(case[2:])
     if case == "non-finite input":
         x[0, 1, 2, 3] = np.inf
     xt, kt = parameter(x), parameter(rng.normal(size=(4, 2, S, S)))
-    y = stuffed_conv_nd(xt, kt, padding=padding, groups=2)
+    y = stuffed_conv_nd(xt, kt, groups=2)
     backward(sum_(y), params=[xt, kt])
-    assert bool(calls) == stuffs
+    assert calls == []
 
 
 def test_conv_transpose_doubles_and_is_adjoint():
     rng = np.random.default_rng(7)
     C1, C2, D = 2, 3, 3
-    x = tensor(rng.normal(size=(1, C1, D, D)))
-    k = tensor(rng.normal(size=(C1, C2, 3, 3)))
-    up = conv_transpose_nd(x, k)
-    assert up.shape == (1, C2, 2 * D, 2 * D)
-    # adjoint identity: <T x, u> == <x, stride-2 correlation of u>
-    u = rng.normal(size=(1, C2, 2 * D, 2 * D))
-    lhs = float((up.data * u).sum())
-    down = conv_nd(tensor(u), k).data[:, :, ::2, ::2]  # kernel read as [C1,C2,S]
-    rhs = float((x.data * down).sum())
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    for S in (3, 5):
+        x = tensor(rng.normal(size=(1, C1, D, D)))
+        k = tensor(rng.normal(size=(C1, C2, S, S)))
+        up = conv_transpose_nd(x, k)
+        assert up.shape == (1, C2, 2 * D, 2 * D)
+        # adjoint identity: <T x, u> == <x, stride-2 correlation of u>
+        u = rng.normal(size=(1, C2, 2 * D, 2 * D))
+        lhs = float((up.data * u).sum())
+        down = conv_nd(tensor(u), k).data[:, :, ::2, ::2]  # kernel read as [C1,C2,S]
+        rhs = float((x.data * down).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_conv_transpose_gradients_3d():

@@ -238,21 +238,22 @@ def test_separable_gradients():
 
 def test_group_upsample_shapes_and_slice_consistency():
     rng = np.random.default_rng(10)
-    up = GroupUpsampleConv(C4, 2, 3, kernel_size=3)
-    up.init(np.random.default_rng(11))
-    f = rng.normal(size=(2, 2, 4, 5, 5))
-    with no_grad():
-        y = up(tensor(f)).data
-    assert y.shape == (2, 3, 4, 10, 10)
-    # slice h equals a plain transposed conv with the pi_h-rotated kernel
-    cache = C4.grid_cache(3)
-    for h in range(4):
-        k_rot = up.kernel.data[:, :, cache.pi[h]].reshape(3, 2, 3, 3)
+    for S in (3, 5):
+        up = GroupUpsampleConv(C4, 2, 3, kernel_size=S)
+        up.init(np.random.default_rng(11))
+        f = rng.normal(size=(2, 2, 4, 5, 5))
         with no_grad():
-            ref = conv_transpose_nd(
-                tensor(f[:, :, h]), tensor(k_rot.transpose(1, 0, 2, 3))
-            ).data
-        assert np.allclose(y[:, :, h], ref, atol=1e-12)
+            y = up(tensor(f)).data
+        assert y.shape == (2, 3, 4, 10, 10)
+        # slice h equals a plain transposed conv with the pi_h-rotated kernel
+        cache = C4.grid_cache(S)
+        for h in range(4):
+            k_rot = up.kernel.data[:, :, cache.pi[h]].reshape(3, 2, S, S)
+            with no_grad():
+                ref = conv_transpose_nd(
+                    tensor(f[:, :, h]), tensor(k_rot.transpose(1, 0, 2, 3))
+                ).data
+            assert np.allclose(y[:, :, h], ref, atol=1e-12)
 
 
 def test_group_upsample_gradients():

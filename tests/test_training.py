@@ -63,10 +63,19 @@ def test_config_rejects_bad_values():
         dict(task="square_to_square", grid_size=14),
         dict(task="flow_isotropic", group="octahedral_24", flow_size=30),
         dict(task="square_to_square", match_params=100),
+        # a kernel larger than the grid its first conv runs on
+        dict(task="square_to_square", kernel_size=17),
+        dict(task="cubic_to_tetragonal", group="octahedral_48", grid_size=9,
+             kernel_size=11),
+        dict(task="flow_isotropic", group="octahedral_24", flow_size=16,
+             kernel_size=5),
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
             cfg(**kw)
+    # a loaded dataset's grid comes from the file, so the conv checks it
+    cfg(task="flow_isotropic", group="octahedral_24", flow_size=16, kernel_size=5,
+        data_path="flow.rgt1")
 
 
 def test_config_json_round_trip(tmp_path):
@@ -129,6 +138,13 @@ def test_superres_loss_finite_and_decreasing():
     assert all(np.isfinite(v) for v in stats.train_losses)
     assert stats.train_losses[-1] < stats.train_losses[0]
     assert all(np.isfinite(v) for v in stats.val_losses)
+
+
+def test_superres_trains_at_kernel_size_5():
+    # the stride-2 upsampling convs take the sub-pixel route at every S
+    _, stats = train(cfg(**dict(SMALL_FLOW, kernel_size=5, flow_size=24)))
+    assert len(stats.train_losses) == 2
+    assert all(np.isfinite(v) for v in stats.train_losses + stats.val_losses)
 
 
 def test_superres_epoch_loss_weights_batches_by_size():
