@@ -61,6 +61,11 @@ def zero_stuff(x):
     return record("zero_stuff", out, (x,), lambda g: (g[sl].copy(),))
 
 
+# Padding is circular only. The one-value parameter keeps each case under the
+# id it had when a zero-padded twin ran beside it.
+circular_only = pytest.mark.parametrize("padding", ["circular"])
+
+
 def check_grad(make_loss, theta, atol=1e-8, rtol=1e-5):
     zero_grads([theta])
     backward(make_loss(), params=[theta])
@@ -68,7 +73,8 @@ def check_grad(make_loss, theta, atol=1e-8, rtol=1e-5):
     assert np.allclose(theta.grad, numeric, atol=atol, rtol=rtol)
 
 
-def test_conv2d_matches_reference():
+@circular_only
+def test_conv2d_matches_reference(padding):
     rng = np.random.default_rng(0)
     x = tensor(rng.normal(size=(2, 2, 5, 5)))
     k = tensor(rng.normal(size=(3, 2, 3, 3)))
@@ -77,7 +83,8 @@ def test_conv2d_matches_reference():
     assert np.allclose(out.data, conv_ref(x.data, k.data), atol=1e-12)
 
 
-def test_conv3d_matches_reference():
+@circular_only
+def test_conv3d_matches_reference(padding):
     rng = np.random.default_rng(1)
     x = tensor(rng.normal(size=(1, 2, 4, 4, 4)))
     k = tensor(rng.normal(size=(2, 2, 3, 3, 3)))
@@ -120,9 +127,10 @@ def test_grouped_conv_matches_per_group_reference():
 
 
 @pytest.mark.parametrize("d", [2, 3])
+@circular_only
 @pytest.mark.parametrize("S", [3, 5])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_depthwise_conv_matches_per_group_reference(d, S, dtype):
+def test_depthwise_conv_matches_per_group_reference(d, padding, S, dtype):
     # one input and one output channel per group: the broadcast path
     rng = np.random.default_rng(15)
     G = 3
@@ -137,7 +145,8 @@ def test_depthwise_conv_matches_per_group_reference(d, S, dtype):
 
 
 @pytest.mark.parametrize("xshape,S", [((2, 3, 5, 6), 5), ((2, 3, 4, 5, 3), 3)])
-def test_depthwise_conv_gradients(xshape, S):
+@circular_only
+def test_depthwise_conv_gradients(xshape, S, padding):
     rng = np.random.default_rng(16)
     G, d = xshape[1], len(xshape) - 2
     x = parameter(rng.normal(size=xshape))
@@ -147,7 +156,8 @@ def test_depthwise_conv_gradients(xshape, S):
     check_grad(lambda: sum_(mul(conv_nd(x, k, groups=G), w)), k)
 
 
-def test_conv_gradients():
+@circular_only
+def test_conv_gradients(padding):
     rng = np.random.default_rng(5)
     x = parameter(rng.normal(size=(2, 2, 4, 4)))
     k = parameter(rng.normal(size=(2, 2, 3, 3)))
@@ -193,7 +203,8 @@ def test_tap_chunks_match_per_group_reference(D, G, Ci, Co, S, widths, dtype):
 
 
 @pytest.mark.parametrize("D,G,Ci,Co,S,widths", TAP_CHUNK_CASES[1:4])
-def test_tap_chunk_gradients(D, G, Ci, Co, S, widths):
+@circular_only
+def test_tap_chunk_gradients(D, G, Ci, Co, S, widths, padding):
     rng = np.random.default_rng(18)
     x = parameter(rng.normal(size=(1, G * Ci) + D))
     k = parameter(rng.normal(size=(G * Co, Ci) + (S,) * len(D)))
@@ -233,8 +244,9 @@ def route_conv(monkeypatch, case, dtype):
 
 
 @pytest.mark.parametrize("case", ROUTE_CASES, ids=ROUTE_IDS)
+@circular_only
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_cache_sized_routes_match_per_group_reference(monkeypatch, case, dtype):
+def test_cache_sized_routes_match_per_group_reference(monkeypatch, case, padding, dtype):
     route, D, G, Ci, Co, S, budget, blocks = case
     x, k = route_conv(monkeypatch, case, dtype)
     seen = []
@@ -255,7 +267,8 @@ def test_cache_sized_routes_match_per_group_reference(monkeypatch, case, dtype):
 
 
 @pytest.mark.parametrize("case", ROUTE_CASES, ids=ROUTE_IDS)
-def test_cache_sized_route_gradients(monkeypatch, case):
+@circular_only
+def test_cache_sized_route_gradients(monkeypatch, case, padding):
     x, k = route_conv(monkeypatch, case, np.float64)
     G = case[2]
     x, k = parameter(x), parameter(k)
@@ -427,6 +440,20 @@ def test_constant_input_gets_no_gradient(route):
     assert np.array_equal(gk, gk_live)
 
 
+def test_stuffed_conv_fallback_routes():
+    # the stencils that once left the sub-pixel route for a dense conv of a
+    # zero-stuffed copy now stay on it; results must not change
+    rng = np.random.default_rng(14)
+    x = tensor(rng.normal(size=(1, 2, 4, 4)))
+    for S in (1, 5, 7):
+        k = tensor(rng.normal(size=(2, 2, S, S)))
+        assert np.allclose(
+            stuffed_conv_nd(x, k).data,
+            conv_nd(zero_stuff(x), k).data,
+            atol=1e-12,
+        )
+
+
 def stuffed_grads(op, x, k, g, groups):
     """``y``, ``gx`` and ``gk`` of ``op`` with upstream gradient ``g``."""
     xt, kt = parameter(x), parameter(k)
@@ -462,7 +489,7 @@ def stuffed_kernel_grad_ref(g, x, k_shape, groups):
     ((2, 4, 3, 2, 3), (4, 2, 3, 3, 3), (0, 2, 1, 1, 2)),
     ((2, 4, 3, 4, 3), (4, 2, 5, 5, 5), (1, 0, 2, 0, 1)),
 ])
-def test_stuffed_conv_non_finite_is_never_dropped(xshape, kshape, at, bad, where):
+def test_stuffed_conv_non_finite_lands_like_composition(xshape, kshape, at, bad, where):
     # the contract the training loop relies on to raise TrainingDiverged: a
     # non-finite x makes y non-finite, a non-finite g makes gx and gk
     # non-finite, on every entry where a conv of the stuffed input puts it
@@ -507,10 +534,19 @@ def test_stuffed_conv_pull_takes_non_contiguous_gradient():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the sum
-@pytest.mark.parametrize("case", ["S=1", "S=3", "S=5", "S=7", "non-finite input"])
-def test_stuffed_conv_route(monkeypatch, case):
+@pytest.mark.parametrize("case,stuffs", [
+    ("finite circular S=3", False),
+    ("non-finite input", True),
+    ("S=5", True),
+    ("S=1", True),
+    ("S=7", True),
+])
+def test_stuffed_conv_route(monkeypatch, case, stuffs):
     # one sub-pixel route: no stencil size and no input value sends the
-    # forward or the backward through a dense conv
+    # forward or the backward through a dense conv. ``stuffs`` marks the
+    # cases that took a dense conv of a zero-stuffed copy before the route
+    # covered every odd stencil; test_stuffed_conv_fallback_routes holds
+    # their values to that composition
     calls = []
     for name in ("conv_nd", "_conv_fwd", "_conv_bwd_kernel"):
         def spy(*a, real=getattr(convops, name), name=name, **kw):
@@ -520,7 +556,7 @@ def test_stuffed_conv_route(monkeypatch, case):
         monkeypatch.setattr(convops, name, spy)
     rng = np.random.default_rng(18)
     x = rng.normal(size=(2, 4, 5, 5))
-    S = 3 if case == "non-finite input" else int(case[2:])
+    S = 3 if case == "non-finite input" else int(case[-1])
     if case == "non-finite input":
         x[0, 1, 2, 3] = np.inf
     xt, kt = parameter(x), parameter(rng.normal(size=(4, 2, S, S)))
