@@ -191,10 +191,16 @@ def parameter(data, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=True, dtype=dtype)
 
 
+def recording(parents: Sequence[Tensor]) -> bool:
+    """Whether ``record`` puts an op on ``parents`` on the tape: grads are
+    live and some parent is on the tape or requires a gradient."""
+    return _GRAD_ENABLED and any(p.node is not None or p.requires_grad for p in parents)
+
+
 def record(op: str, out_data: np.ndarray, parents: Sequence[Tensor], pull) -> Tensor:
     """Create the output tensor of an op, recording it when grads are live."""
     out = Tensor(out_data)
-    if _GRAD_ENABLED and any(p.node is not None or p.requires_grad for p in parents):
+    if recording(parents):
         tape = _active_tape()
         node = TapeNode(op, tuple(parents), pull, len(tape.nodes), tape)
         tape.nodes.append(node)

@@ -135,6 +135,12 @@ class ExperimentConfig:
                 )
             if self.n_samples < 1:
                 raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
+            # a 1-stencil stride-2 conv writes only output phase 0, so the net
+            # would predict 0 on 63 of 64 fine voxels
+            if self.kernel_size < 3:
+                raise ConfigError(
+                    f"kernel_size must be >= 3 on flow tasks, got {self.kernel_size}"
+                )
             # the first convs run on the input grid; a loaded one is checked there
             if not self.data_path and self.kernel_size > self.flow_size // 4:
                 raise ConfigError(f"kernel_size {self.kernel_size} exceeds flow_size / 4")

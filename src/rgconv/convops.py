@@ -40,7 +40,14 @@ L2 of the machine they were tuned on) and the input is read few times:
   stencil's taps are scattered into a ``[(h + 1)^d Ci, Co 2^d]`` kernel
   that maps them to the ``2^d`` output phases, and the result's two
   last-axis phases of a voxel are written as one float pair. Its backward
-  reads ``g`` once per phase and runs the two transposed GEMMs. A
+  reads ``g`` once per phase and group and runs the two transposed GEMMs.
+  The pooled form (``pool=True``, the group mean of the ReLU of the
+  output, for the super-resolution head) takes the ReLU in place on each
+  group's GEMM rows and adds them into one ``[B, C_out, *2D]`` output, so
+  the ``|H|`` times larger unpooled output is never stored. Its tape keeps
+  only the ReLU masks, one bit per pre-activation packed with
+  ``np.packbits`` (nothing under ``no_grad``), and its backward lays the
+  pooled ``g`` out once in the GEMM rows, then masks it per group. A
   non-finite value is never dropped, but it also meets the kernel's zero
   blocks (``0 * inf`` is NaN): a non-finite ``x`` makes ``y`` non-finite,
   and a non-finite ``g`` both gradients, on other entries than in a conv
@@ -60,7 +67,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, flip, record, reshape, transpose
+from .autodiff import Tensor, flip, record, recording, reshape, transpose
 from .errors import ShapeError
 
 # Bytes a conv loop's tile should keep its working set within: half the
@@ -517,51 +524,90 @@ def _pair(dtype) -> np.dtype:
     return np.dtype(f"c{2 * np.dtype(dtype).itemsize}")
 
 
-def _stuffed_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
+def _stuffed_fwd(
+    x: np.ndarray, k: np.ndarray, groups: int, pool: bool = False, keep_masks: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``y`` as ``[B, G Co, *2D]``, or with ``pool`` the group mean of
+    ``relu(y)`` as ``[B, Co, *2D]``; with ``keep_masks`` also each group's
+    ReLU mask over its GEMM rows ``[m, N]``, packed flat to bits."""
     sp = _Subpixel(x, k, groups)
     B, D, d, w, m = sp.B, sp.D, sp.d, sp.w, sp.m
     G, _, N = w.shape
-    out = np.empty((B, G, sp.Co) + tuple(2 * n for n in D), dtype=np.result_type(x, k))
-    # out as float pairs along the last axis, each axis split into (v, phase):
-    # [B, G, Co, D0, 2, ..., D_{d-1}]
-    pairs = out.view(_pair(out.dtype)).reshape(
-        (B, G, sp.Co) + sum(((n, 2) for n in D[:-1]), ()) + D[-1:]
+    lead = (B,) if pool else (B, G)
+    out = (np.zeros if pool else np.empty)(
+        lead + (sp.Co,) + tuple(2 * n for n in D), dtype=np.result_type(x, k)
     )
-    # GEMM rows are padded voxels, columns (co, phase), so the two phases of
-    # the last axis sit side by side; [co, p_0 .. p_{d-2}, b, *v] moves to
-    # the order of ``pairs``
-    order = [d, 0] + sum(([d + 1 + a, 1 + a] for a in range(d - 1)), []) + [2 * d]
+    # out as float pairs along the last axis, each axis split into (v, phase):
+    # [*lead, Co, D0, 2, ..., D_{d-1}]
+    pairs = out.view(_pair(out.dtype)).reshape(
+        lead + (sp.Co,) + sum(((n, 2) for n in D[:-1]), ()) + D[-1:]
+    )
+    masks = np.empty((G, -(-m * N // 8)), dtype=np.uint8) if keep_masks else None
     r = np.empty((B * sp.P, N), dtype=out.dtype)
     for g, stack in sp.stacks(x.dtype):
         np.matmul(stack.T, w[g], out=r[:m])
-        rp = r.view(_pair(r.dtype)).reshape((B * sp.P, sp.Co) + (2,) * (d - 1))
-        pairs[:, g] = sp.interior(np.moveaxis(rp, 0, -1)).transpose(order)
-    return out.reshape((B, G * sp.Co) + out.shape[3:])
+        if pool:
+            np.maximum(r[:m], 0, out=r[:m])  # NaN stays NaN
+            if keep_masks:
+                masks[g] = np.packbits(r[:m] > 0)
+            pairs += _pair_rows(sp, r)
+        else:
+            pairs[:, g] = _pair_rows(sp, r)
+    if pool:
+        out /= G
+    return out.reshape((B, -1) + out.shape[-d:]), masks
+
+
+def _pair_rows(sp: _Subpixel, r: np.ndarray) -> np.ndarray:
+    """GEMM rows ``[B * P, (co, phase)]`` viewed as float pairs (the two
+    last-axis phases of a voxel sit side by side) in the order
+    ``[B, Co, D0, 2, ..., D_{d-1}]`` of the output's pair view."""
+    d = sp.d
+    order = [d, 0] + sum(([d + 1 + a, 1 + a] for a in range(d - 1)), []) + [2 * d]
+    rp = r.view(_pair(r.dtype)).reshape((-1, sp.Co) + (2,) * (d - 1))
+    return sp.interior(np.moveaxis(rp, 0, -1)).transpose(order)
 
 
 def _stuffed_bwd(
-    g: np.ndarray, x: np.ndarray, k: np.ndarray, groups: int, want_gx: bool
+    g: np.ndarray, x: np.ndarray, k: np.ndarray, groups: int, want_gx: bool,
+    masks: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
+    """Gradients of ``_stuffed_fwd``; ``masks`` given means the pooled form,
+    with ``g`` of shape ``[B, Co, *2D]``."""
     sp = _Subpixel(x, k, groups)
     B, D, d, w, m = sp.B, sp.D, sp.d, sp.w, sp.m
     G, _, N = w.shape
-    # g split per axis into (v, phase): [B, G, Co, D0, 2, ..., D_{d-1}, 2]
-    gv = g.reshape((B, G, sp.Co) + sum(((n, 2) for n in D), ()))
     gw = np.empty(w.shape, dtype=np.result_type(g, x))
     if want_gx:
         gxp = np.zeros(sp.xf.shape, dtype=np.result_type(g, k))
-    # g of one group phase-major in the padded layout, [(co, phase), B * P],
-    # zero on the junk columns: a strided read per phase, which runs faster
-    # than writing GEMM rows of pairs
-    gr = np.zeros((N, B * sp.P), dtype=g.dtype)
-    dst = sp.interior(gr.reshape(sp.Co, 2**d, -1))
+    if masks is None:
+        # g split per axis into (v, phase): [B, G, Co, D0, 2, ..., D_{d-1}, 2];
+        # one group's g goes phase-major in the padded layout,
+        # [(co, phase), B * P], zero on the junk columns: a strided read per
+        # phase, which runs faster than writing GEMM rows of pairs
+        gv = g.reshape((B, G, sp.Co) + sum(((n, 2) for n in D), ()))
+        gr = np.zeros((N, B * sp.P), dtype=g.dtype)
+        dst = sp.interior(gr.reshape(sp.Co, 2**d, -1))
+    else:
+        # the pooled g, over |H| as the mean's gradient is, goes once into the
+        # GEMM rows of the forward, [B * P, (co, phase)], zero on the junk rows;
+        # each group masks it with its ReLU
+        rows = np.zeros((B * sp.P, N), dtype=g.dtype)
+        dst = _pair_rows(sp, rows)
+        dst[...] = (np.ascontiguousarray(g) / G).view(_pair(g.dtype)).reshape(dst.shape)
+        gm = np.empty((m, N), dtype=g.dtype)
     for gi, stack in sp.stacks(np.result_type(x, k, g)):
-        for i, phi in enumerate(np.ndindex(*(2,) * d)):
-            src = gv[(slice(None), gi, slice(None)) + sum(((slice(None), p) for p in phi), ())]
-            dst[:, i] = np.moveaxis(src, 0, 1)
-        np.matmul(stack, gr[:, :m].T, out=gw[gi])
+        if masks is None:
+            for i, phi in enumerate(np.ndindex(*(2,) * d)):
+                at = sum(((slice(None), p) for p in phi), ())
+                dst[:, i] = np.moveaxis(gv[(slice(None), gi, slice(None)) + at], 0, 1)
+            gt = gr[:, :m]
+        else:
+            mask = np.unpackbits(masks[gi], count=m * N).view(bool).reshape(m, N)
+            gt = np.multiply(rows[:m], mask, out=gm).T
+        np.matmul(stack, gt.T, out=gw[gi])
         if want_gx:
-            gst = np.matmul(w[gi], gr[:, :m], out=stack)
+            gst = np.matmul(w[gi], gt, out=stack)
             gst = gst.reshape(len(sp.offsets), sp.Ci, m)
             for j, off in enumerate(sp.offsets):
                 gxp[gi, :, off : off + m] += gst[j]
@@ -578,7 +624,9 @@ def _stuffed_bwd(
     return np.moveaxis(v, 2, 0).reshape(x.shape), gk
 
 
-def stuffed_conv_nd(x: Tensor, kernel: Tensor, groups: int = 1) -> Tensor:
+def stuffed_conv_nd(
+    x: Tensor, kernel: Tensor, groups: int = 1, *, pool: bool = False
+) -> Tensor:
     """Correlate the 2x zero-stuffed input (one zero after every sample
     along each spatial axis), so every spatial extent doubles.
 
@@ -587,19 +635,22 @@ def stuffed_conv_nd(x: Tensor, kernel: Tensor, groups: int = 1) -> Tensor:
     S = 3, 64 blocks per input voxel, 27 of them taps, against the 8 x 27 of
     a conv of the stuffed input. The module docstring gives where non-finite
     values land.
+
+    With ``pool=True`` the result is the mean over the ``groups`` of the
+    ReLU of that output, ``[B, C_out, *2D]``, summed as each group's GEMM
+    ends.
     """
     _check_conv_args(
         x.shape[:2] + tuple(2 * n for n in x.shape[2:]), kernel.shape, groups
     )
     xd, kd = x.data, kernel.data
     want_gx = _wants_grad(x)
+    y, masks = _stuffed_fwd(xd, kd, groups, pool, pool and recording((x, kernel)))
 
     def pull(g):
-        return _stuffed_bwd(g, xd, kd, groups, want_gx)
+        return _stuffed_bwd(g, xd, kd, groups, want_gx, masks)
 
-    return record(
-        "stuffed_conv_nd", _stuffed_fwd(xd, kd, groups), (x, kernel), pull
-    )
+    return record("stuffed_conv_nd", y, (x, kernel), pull)
 
 
 def conv_transpose_nd(x: Tensor, kernel: Tensor) -> Tensor:

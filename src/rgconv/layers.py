@@ -18,7 +18,8 @@ would cost more memory than the sum saves. Its pooled form
 (``pool=True``, the discovery net's last layer) also averages over ``h``,
 and that mean folds ``w`` and ``1/|H|`` into one kernel with ``|H| L`` times
 fewer output channels than the transformed one, so there the sum moves onto
-the kernel.
+the kernel. The upsampling layer's pooled form (the super-resolution net's
+last stage) takes its ReLU and group mean inside the stuffed conv.
 
 With ``relaxed=False`` the weights are frozen at exactly 1 and the layer is
 an ordinary group convolution: summing the banks with equal unit weights is
@@ -275,7 +276,18 @@ class GroupUpsampleConv(_GroupLayer):
     slice, with the kernel rotated by ``pi_h`` for slice ``h`` so all slices
     stay consistent with the group structure. ``[B, C_in, |H|, *D]`` maps to
     ``[B, C_out, |H|, *2D]``.
+
+    With ``pool=True`` it returns ``group_pool(relu(y))``, ``[B, C_out,
+    *2D]``, summed slice by slice inside ``stuffed_conv_nd``: neither ``y``
+    nor ``relu(y)`` is stored. It stands for those three modules, so it
+    takes three ``layerN`` positions in parameter names (``name_slots``),
+    and later layers keep their names.
     """
+
+    def __init__(self, *args, pool: bool = False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pool = pool
+        self.name_slots = 3 if pool else 1
 
     def _kernel_shapes(self):
         K = self.kernel_size ** self.dim
@@ -296,7 +308,9 @@ class GroupUpsampleConv(_GroupLayer):
         kt = reshape(kt, (H * Co, Ci) + S)
         xt = transpose(x, (0, 2, 1) + tuple(range(3, 3 + d)))
         xt = reshape(xt, (B, H * Ci) + D)
-        y = stuffed_conv_nd(xt, kt, groups=H)
+        y = stuffed_conv_nd(xt, kt, groups=H, pool=self.pool)
+        if self.pool:
+            return y
         y = reshape(y, (B, H, Co) + tuple(2 * n for n in D))
         return transpose(y, (0, 2, 1) + tuple(range(3, 3 + d)))
 

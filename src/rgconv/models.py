@@ -100,13 +100,17 @@ class Network:
         return out
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        named = []
-        for i, ly in enumerate(self.layers):
+        """``layerN.attr`` per trainable tensor, ``N`` counting the flat
+        layers; a layer that stands for several modules (``name_slots``)
+        counts as that many."""
+        named, i = [], 0
+        for ly in self.layers:
             trainable = ly.params()
             for attr in _PARAM_ATTRS:
                 t = getattr(ly, attr, None)
                 if isinstance(t, Tensor) and any(t is p for p in trainable):
                     named.append((f"layer{i}.{attr}", t))
+            i += getattr(ly, "name_slots", 1)
         return named
 
     def weight_layers(self) -> list:
@@ -256,9 +260,11 @@ def build_superres_net(
                     relaxed=relaxed, dtype=dtype),
             )
         )
-    for _ in range(2):
-        mods.append(GroupUpsampleConv(group, c, c, kernel_size, dtype=dtype))
-        mods.append(ReLULayer())
-    mods.append(GroupPool())
-    mods.append(ConvLayer(group.dim, c, out_channels, kernel_size, dtype=dtype))
+    # the second stage takes its ReLU and the group pool inside (pool=True)
+    mods += [
+        GroupUpsampleConv(group, c, c, kernel_size, dtype=dtype),
+        ReLULayer(),
+        GroupUpsampleConv(group, c, c, kernel_size, pool=True, dtype=dtype),
+        ConvLayer(group.dim, c, out_channels, kernel_size, dtype=dtype),
+    ]
     return Network(mods, group=group)

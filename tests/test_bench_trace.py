@@ -79,3 +79,37 @@ def test_tracer_spans_every_layer_class_and_uninstalls():
         assert cls.__dict__[attr] is original
     assert rgconv.convops.conv_nd is conv_nd
     assert rgconv.layers.conv_nd is conv_nd
+
+
+def test_tracer_charges_the_pooled_upsample_to_its_layer():
+    # GroupUpsampleConv(pool=True) takes its ReLU and the group mean inside
+    # stuffed_conv_nd; its forward and its pulls still belong to the layer
+    tracer_mod = load_tracer()
+    c4 = build_group("cyclic_2d(4)")
+    net = Network(
+        [
+            LiftingLayer(c4, 1, 2),
+            GroupUpsampleConv(c4, 2, 2, pool=True),
+            ConvLayer(2, 2, 1),
+        ],
+        group=c4,
+    ).init(1)
+    tr = tracer_mod.Tracer()
+    tr.install()
+    try:
+        x = tensor(np.random.default_rng(1).normal(size=(2, 1, 5, 5)))
+        value = loss("l1", net(x), tensor(np.zeros((2, 1, 10, 10))))
+        backward(value, params=net.params())
+    finally:
+        tr.uninstall()
+
+    spans = tr.spans
+    fwd = [i for i, rec in enumerate(spans) if rec[0] == "layers.GroupUpsampleConv.fwd"]
+    assert len(fwd) == 1
+    stuffed = [rec for rec in spans if rec[0] == "convops.stuffed_conv_nd"]
+    assert len(stuffed) == 1 and stuffed[0][3] == fwd[0]
+    pulls = {rec[0] for rec in spans if rec[4] == "GroupUpsampleConv"}
+    assert "pull.stuffed_conv_nd" in pulls
+    # no relu or group mean of its own: both run inside the conv's loop
+    names = {rec[0] for rec in spans}
+    assert not {"autodiff.relu", "pull.relu"} & names and "pull.mean" not in pulls

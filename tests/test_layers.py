@@ -264,6 +264,76 @@ def test_group_upsample_gradients():
     grad_check_layer(up, f, [up.kernel])
 
 
+def _pooled_and_composed(G, S, dtype, f):
+    """The fused head ``GroupUpsampleConv(pool=True)`` and the composition it
+    replaces, ``group_pool(relu(GroupUpsampleConv(x)))``, on one kernel."""
+    fused = GroupUpsampleConv(G, f.shape[1], 2, kernel_size=S, pool=True, dtype=dtype)
+    fused.init(np.random.default_rng(31))
+    plain = GroupUpsampleConv(G, f.shape[1], 2, kernel_size=S, dtype=dtype)
+    plain.kernel.data[...] = fused.kernel.data
+    return (fused, lambda y: y), (plain, lambda y: group_pool(relu(y)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("S", [3, 5])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("G,spatial", [(C4, (5, 6)), (O24, (5, 4, 5))])
+def test_pooled_upsample_matches_composition(G, spatial, B, S, dtype):
+    rng = np.random.default_rng(30)
+    f = rng.normal(size=(B, 3, G.order) + spatial).astype(dtype)
+    r = tensor(rng.normal(size=(B, 2) + tuple(2 * n for n in spatial)).astype(dtype))
+    results = []
+    for layer, head in _pooled_and_composed(G, S, dtype, f):
+        x = Tensor(f.copy(), requires_grad=True)
+        zero_grads([x, layer.kernel])
+        y = head(layer(x))
+        backward(sum_(mul(y, r)), params=[x, layer.kernel])
+        results.append((y.data, x.grad, layer.kernel.grad))
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.dtype == want.dtype == dtype
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+    assert results[0][0].shape == (B, 2) + tuple(2 * n for n in spatial)
+
+
+def test_pooled_upsample_no_grad_records_nothing(monkeypatch):
+    import rgconv.autodiff
+    import rgconv.convops
+
+    f = np.random.default_rng(32).normal(size=(2, 3, 24, 4, 4, 4))
+    (fused, _), (plain, head) = _pooled_and_composed(O24, 3, np.float64, f)
+    kept = []
+    stuffed_fwd = rgconv.convops._stuffed_fwd
+
+    def spy(*args):
+        y, masks = stuffed_fwd(*args)
+        kept.append(masks)
+        return y, masks
+
+    monkeypatch.setattr(rgconv.convops, "_stuffed_fwd", spy)
+    x = Tensor(f, requires_grad=True)
+    with no_grad():
+        got, want = fused(x), head(plain(x))
+    assert got.node is None and rgconv.autodiff._ACTIVE_TAPE is None
+    assert kept[0] is None  # no ReLU masks held
+    assert np.array_equal(got.data, want.data)
+    # with the tape live it keeps the masks, under one byte per entry of y
+    y = fused(x)
+    assert y.node is not None and kept[-1].nbytes < got.size * O24.order
+    backward(sum_(y))
+
+
+def test_pooled_upsample_nan_input_gives_nan():
+    f = np.random.default_rng(33).normal(size=(1, 3, 4, 5, 5))
+    f[0, 1, 2, 3, 1] = np.nan
+    (fused, _), (plain, head) = _pooled_and_composed(C4, 3, np.float64, f)
+    with no_grad():
+        got, want = fused(tensor(f)).data, head(plain(tensor(f))).data
+    assert np.isnan(want).any()
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_group_pool_commutes_with_group_action():
     rng = np.random.default_rng(12)
     f = rng.normal(size=(2, 3, 24, 5, 5, 5))

@@ -21,7 +21,14 @@ from rgconv import (
 )
 from rgconv import autodiff
 from rgconv.autodiff import backward, sum_, tensor, zero_grads
-from rgconv.layers import ConvLayer, LiftingLayer, ReLULayer, RelaxedGConvLayer
+from rgconv.layers import (
+    ConvLayer,
+    GroupUpsampleConv,
+    LiftingLayer,
+    ReLULayer,
+    RelaxedGConvLayer,
+    SeparableRelaxedGConvLayer,
+)
 
 C4 = build_group("cyclic_2d(4)")
 O24 = build_group("octahedral_24")
@@ -82,6 +89,47 @@ def test_discovery_net_names_and_earlier_checkpoints(tmp_path):
     x = tensor(rng.normal(size=(2, 1, 7, 6)))
     want, got = earlier(x).data, loaded(x).data
     assert got.shape == want.shape == (2, 1, 7, 6)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _unfused_superres_net(layer_kind, group, c, blocks, kernel_size=3):
+    # build_superres_net as it was before the last upsampling stage took its
+    # ReLU and the group pool inside (pool=True)
+    common = dict(banks=1, kernel_size=kernel_size, relaxed=layer_kind == "relaxed_equiv")
+    mods = [LiftingLayer(group, 9, c, **common), ReLULayer()]
+    for _ in range(blocks):
+        mods.append(ResidualBlock(SeparableRelaxedGConvLayer(group, c, c, **common),
+                                  SeparableRelaxedGConvLayer(group, c, c, **common)))
+    for _ in range(2):
+        mods += [GroupUpsampleConv(group, c, c, kernel_size), ReLULayer()]
+    mods += [GroupPool(), ConvLayer(3, c, 3, kernel_size)]
+    return Network(mods, group=group)
+
+
+@pytest.mark.parametrize("layer_kind", ["equiv", "relaxed_equiv"])
+def test_superres_net_names_and_earlier_checkpoints(tmp_path, layer_kind):
+    # the last upsampling layer pools inside; every layerN.attr name stays as
+    # with its ReLU and a GroupPool after it, and a checkpoint of that net
+    # loads with equal outputs
+    config = ExperimentConfig(task="flow_isotropic", group="octahedral_24",
+                              layer_kind=layer_kind, channels=2, blocks=2, banks=1,
+                              flow_size=12)
+    earlier = _unfused_superres_net(layer_kind, O24, 2, 2).init(8)
+    rng = np.random.default_rng(9)
+    for ly in earlier.weight_layers():
+        if ly.relaxed:  # frozen weights are not in the checkpoint
+            ly.w.data[...] = rng.uniform(0.5, 1.5, size=ly.w.shape)
+    names = [n for n, _ in build_superres_net(
+        layer_kind, O24, channels=2, blocks=2, banks=1).named_params()]
+    assert names == [n for n, _ in earlier.named_params()]
+    assert names[-3:] == ["layer6.kernel", "layer8.kernel", "layer11.kernel"]
+    save_checkpoint(str(tmp_path), earlier, config)
+    loaded, _, _ = load_checkpoint(str(tmp_path))
+    assert loaded.layers[-2].pool and not any(
+        isinstance(ly, GroupPool) for ly in loaded.layers)
+    x = tensor(rng.normal(size=(2, 9, 3, 3, 3)))
+    want, got = earlier(x).data, loaded(x).data
+    assert got.shape == want.shape == (2, 3, 12, 12, 12)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 

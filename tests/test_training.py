@@ -69,6 +69,9 @@ def test_config_rejects_bad_values():
              kernel_size=11),
         dict(task="flow_isotropic", group="octahedral_24", flow_size=16,
              kernel_size=5),
+        # a 1-stencil upsampling writes 1 of every 2^3 fine voxels per stage
+        dict(task="flow_channel", group="octahedral_24", kernel_size=1),
+        dict(task="flow_isotropic", layer_kind="conv", kernel_size=1),
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
