@@ -7,6 +7,14 @@ into the ``.grad`` field of every leaf tensor created with
 ``requires_grad=True``. Tapes are single use: ``backward`` releases the tape
 it consumed, and the next recorded operation starts a fresh one.
 
+The tape keeps only what backward reads. A node refers to each parent by
+its ``TapeNode``, or by the leaf ``Tensor`` when that leaf requires a
+gradient, and never holds an interior ``Tensor``; a ``pull`` closure keeps
+the arrays and shapes its gradient rule uses and nothing else. So an op's
+input array lives on only if the op's pull reads it (a conv's input, a
+product's factors), and ``backward`` drops each node's parents and pull as
+soon as that node has pulled, or is passed over for want of a gradient.
+
 Broadcasting in arithmetic ops follows numpy for scalars, missing leading
 axes, and size-1 axes; anything else should be made explicit with ``reshape``
 before the op.
@@ -47,7 +55,11 @@ __all__ = [
 
 
 class Tape:
-    """Ordered record of one forward computation."""
+    """Ordered record of one forward computation.
+
+    It holds its nodes until ``backward`` or ``release`` drops them; a node's
+    saved arrays go as soon as ``backward`` has walked past it.
+    """
 
     __slots__ = ("nodes",)
 
@@ -63,6 +75,15 @@ class Tape:
 
 
 class TapeNode:
+    """One recorded op.
+
+    ``parents`` holds, per input, the input's ``TapeNode``, the input itself
+    if it is a leaf that requires a gradient, or None. ``pull`` maps the
+    output's gradient to one gradient (or None) per input, from the arrays
+    it closed over. ``backward`` sets both to ``()`` and None once the node
+    is walked, and ``Tape.release`` does the same for the nodes it drops.
+    """
+
     __slots__ = ("op", "parents", "pull", "idx", "tape")
 
     def __init__(self, op: str, parents: tuple, pull: Callable, idx: int, tape: Tape):
@@ -197,12 +218,25 @@ def recording(parents: Sequence[Tensor]) -> bool:
     return _GRAD_ENABLED and any(p.node is not None or p.requires_grad for p in parents)
 
 
+def _ref(p: Tensor):
+    """What a node keeps of parent ``p``: its node, the leaf itself if it
+    takes a gradient, else None. A node that was already walked or released
+    is None too: its tape is gone, so ``p`` is a constant here."""
+    if p.node is not None:
+        return p.node if p.node.pull is not None else None
+    return p if p.requires_grad else None
+
+
 def record(op: str, out_data: np.ndarray, parents: Sequence[Tensor], pull) -> Tensor:
-    """Create the output tensor of an op, recording it when grads are live."""
+    """Create the output tensor of an op, recording it when grads are live.
+
+    The node keeps no interior tensor (see ``TapeNode``), so ``pull`` must
+    close over arrays and shapes, never a ``Tensor``.
+    """
     out = Tensor(out_data)
     if recording(parents):
         tape = _active_tape()
-        node = TapeNode(op, tuple(parents), pull, len(tape.nodes), tape)
+        node = TapeNode(op, tuple(map(_ref, parents)), pull, len(tape.nodes), tape)
         tape.nodes.append(node)
         out.node = node
     return out
@@ -231,18 +265,20 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> tuple:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
+    sa, sb = a.shape, b.shape
 
     def pull(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return record("add", a.data + b.data, (a, b), pull)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
+    sa, sb = a.shape, b.shape
 
     def pull(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return record("sub", a.data - b.data, (a, b), pull)
 
@@ -252,7 +288,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def pull(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return record("mul", ad * bd, (a, b), pull)
 
@@ -288,8 +324,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def pull(g):
-        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), a.shape)
-        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
+        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
         return ga, gb
 
     return record("matmul", ad @ bd, (a, b), pull)
@@ -392,12 +428,16 @@ def backward(out: Tensor, params: Iterable[Tensor] | None = None) -> None:
     """Accumulate d(out)/d(leaf) into ``.grad`` of every reachable leaf.
 
     ``out`` must be scalar. Consumes and releases the tape that recorded
-    ``out``; call once per forward pass. Leaves listed in ``params`` that the
+    ``out``, each node as soon as it has pulled, and the whole tape even if
+    a pull raises; call once per forward pass. A second call on the same
+    ``out`` is a ``ContractError``. Leaves listed in ``params`` that the
     graph never touched get a zero gradient rather than None.
     """
     global _ACTIVE_TAPE
     if out.size != 1:
         raise ContractError(f"backward needs a scalar, got shape {out.shape}")
+    if out.node is not None and out.node.pull is None:
+        raise ContractError(f"backward: the tape of this {out.node.op} is already consumed")
     params = list(params) if params is not None else []
 
     if out.node is None:
@@ -407,25 +447,25 @@ def backward(out: Tensor, params: Iterable[Tensor] | None = None) -> None:
     else:
         tape = out.node.tape
         table: dict[int, np.ndarray] = {out.node.idx: np.ones_like(out.data)}
-        for node in reversed(tape.nodes[: out.node.idx + 1]):
-            g = table.pop(node.idx, None)
-            if g is None:
-                continue
-            for parent, pg in zip(node.parents, node.pull(g)):
-                if pg is None:
-                    continue
-                if parent.node is not None:
-                    idx = parent.node.idx
-                    if idx in table:
-                        table[idx] = table[idx] + pg
-                    else:
-                        table[idx] = pg
-                elif parent.requires_grad:
-                    pg = pg.astype(parent.dtype, copy=False)
-                    parent.grad = pg if parent.grad is None else parent.grad + pg
-        if tape is _ACTIVE_TAPE:
-            _ACTIVE_TAPE = None
-        tape.release()
+        try:
+            for node in reversed(tape.nodes[: out.node.idx + 1]):
+                g = table.pop(node.idx, None)
+                if g is not None:
+                    for ref, pg in zip(node.parents, node.pull(g)):
+                        if pg is None or ref is None:
+                            continue
+                        if type(ref) is TapeNode:
+                            idx = ref.idx
+                            table[idx] = table[idx] + pg if idx in table else pg
+                        else:
+                            pg = pg.astype(ref.dtype, copy=False)
+                            ref.grad = pg if ref.grad is None else ref.grad + pg
+                node.parents = ()
+                node.pull = None
+        finally:
+            if tape is _ACTIVE_TAPE:
+                _ACTIVE_TAPE = None
+            tape.release()
 
     for p in params:
         if p.grad is None:

@@ -697,12 +697,13 @@ def take_last(x: Tensor, idx, inv) -> Tensor:
     if idx.shape[1] != x.shape[-1]:
         raise ShapeError(f"index width {idx.shape[1]} != last axis {x.shape[-1]}")
     rows = np.arange(len(inv))[:, None]
+    shape = x.shape
 
     def pull(g):
         # rows are permutations, so the adjoint is the inverse gather; the
         # indexed axes move to the front, giving [H, K, M]
         back = g.reshape(len(inv), -1, inv.shape[1])[rows, :, inv].sum(axis=0)
-        return (back.T.reshape(x.shape),)
+        return (back.T.reshape(shape),)
 
     out = np.moveaxis(x.data[..., idx], -2, 0)
     return record("take_last", np.ascontiguousarray(out), (x,), pull)

@@ -4,9 +4,12 @@
 independent oracle for every backward rule.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
+from rgconv import autodiff
 from rgconv.autodiff import (
     Tensor,
     absval,
@@ -21,6 +24,7 @@ from rgconv.autodiff import (
     neg,
     no_grad,
     parameter,
+    record,
     relu,
     reshape,
     sub,
@@ -29,6 +33,7 @@ from rgconv.autodiff import (
     transpose,
     zero_grads,
 )
+from rgconv.convops import conv_nd, stuffed_conv_nd
 from rgconv.errors import ConfigError, ContractError, ShapeError
 from rgconv.optim import make_optimizer, optimizer_step
 
@@ -228,6 +233,86 @@ def test_grad_accumulates_across_backward_calls():
     assert np.allclose(x.grad, 2 * (2 * x.data))
     zero_grads([x])
     assert x.grad is None
+
+
+def test_second_backward_on_a_consumed_output_raises():
+    x = parameter(np.array([2.0]))
+    s = sum_(mul(x, x))
+    backward(s, params=[x])
+    with pytest.raises(ContractError, match="consumed"):
+        backward(s, params=[x])
+    assert np.array_equal(x.grad, [4.0])
+
+
+def test_raising_pull_releases_the_tape():
+    x = parameter(np.ones(3))
+    y = mul(x, x)
+
+    def pull(g):
+        raise RuntimeError("pull failed")
+
+    s = record("probe", np.array(y.data.sum()), (y,), pull)
+    tape = s.node.tape
+    with pytest.raises(RuntimeError, match="pull failed"):
+        backward(s, params=[x])
+    assert autodiff._ACTIVE_TAPE is None and tape.nodes == []
+    assert y.node.parents == () and y.node.pull is None
+    z = mul(x, x)  # the next forward starts a fresh tape
+    assert z.node.tape is not tape and z.node.idx == 0
+    backward(sum_(z), params=[x])
+    assert np.array_equal(x.grad, 2 * x.data)
+
+
+def test_output_of_a_consumed_tape_is_a_constant():
+    x = parameter(np.array([3.0]))
+    y = mul(x, x)
+    backward(sum_(y), params=[x])
+    zero_grads([x])
+    w = parameter(np.array([2.0]))
+    ww = mul(w, w)  # node 0 of the new tape, the index y's node had
+    backward(sum_(mul(y, ww)), params=[x, w])
+    assert np.array_equal(w.grad, 2 * w.data * y.data)
+    assert np.array_equal(x.grad, [0.0])
+
+
+def test_tape_keeps_only_the_inputs_its_pulls_read():
+    rng = np.random.default_rng(3)
+    p = parameter(rng.normal(size=(1, 2, 5, 5)))
+    k = parameter(rng.normal(size=(2, 2, 3, 3)))
+    a = mul(p, tensor(rng.normal(size=(1, 2, 5, 5))))
+    b = mul(p, tensor(rng.normal(size=(1, 2, 5, 5))))
+    h = add(a, b)  # the ReLU's pre-activation
+    r = relu(h)
+    c = conv_nd(r, k)
+    refs = {name: weakref.ref(t.data) for name, t in
+            (("a", a), ("b", b), ("h", h), ("r", r))}
+    del a, b, h, r
+    assert [name for name, ref in refs.items() if ref() is not None] == ["r"]
+    backward(sum_(c), params=[p, k])
+    assert refs["r"]() is None
+
+
+@pytest.mark.parametrize("conv", [conv_nd, stuffed_conv_nd])
+def test_backward_frees_a_node_before_earlier_nodes_pull(conv):
+    rng = np.random.default_rng(4)
+    x = parameter(rng.normal(size=(1, 2, 4, 4)))
+    k = parameter(rng.normal(size=(3, 2, 3, 3)))
+    dead_when_pulled = []
+
+    def pull(g):
+        dead_when_pulled.append(saved() is None)
+        return (2.0 * g,)
+
+    h = record("probe", 2.0 * x.data, (x,), pull)
+    saved = weakref.ref(h.data)  # the conv's saved input
+    y = conv(h, k)
+    del h
+    assert saved() is not None
+    backward(sum_(y), params=[x, k])
+    assert dead_when_pulled == [True]
+    h = parameter(2.0 * x.data)
+    backward(sum_(conv(h, tensor(k.data))), params=[h])
+    assert np.array_equal(x.grad, 2.0 * h.grad)
 
 
 def test_no_grad_disables_recording():

@@ -20,7 +20,7 @@ from rgconv import (
     save_checkpoint,
 )
 from rgconv import autodiff
-from rgconv.autodiff import backward, sum_, tensor, zero_grads
+from rgconv.autodiff import Tensor, TapeNode, backward, sum_, tensor, zero_grads
 from rgconv.layers import (
     ConvLayer,
     GroupUpsampleConv,
@@ -167,6 +167,33 @@ def test_raising_forward_releases_its_tape():
     assert len(autodiff._ACTIVE_TAPE.nodes) == kept
     for a, b in zip(fresh, step_grads(y)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["conv", "equiv", "relaxed_equiv", "discovery_c4"])
+def test_tape_holds_no_interior_tensor(kind):
+    # the tape keeps a node per interior input and the arrays its pulls
+    # read; a pull that closes over a Tensor would keep that Tensor's array
+    # alive until backward ends
+    rng = np.random.default_rng(11)
+    if kind == "discovery_c4":
+        net = build_discovery_net(C4, channels=2).init(0)
+        x = rng.normal(size=(1, 1, 7, 7))
+    else:
+        net = build_superres_net(kind, group=None if kind == "conv" else O24,
+                                 channels=2, blocks=1, banks=1).init(0)
+        x = rng.normal(size=(1, 9, 3, 3, 3))
+    out = sum_(net(tensor(x)))
+    params = net.params()
+    nodes = out.node.tape.nodes
+    assert nodes[-1] is out.node
+    for node in nodes:
+        for ref in node.parents:
+            assert ref is None or type(ref) is TapeNode or (
+                isinstance(ref, Tensor) and ref.node is None
+                and any(ref is p for p in params)), node.op
+        for cell in node.pull.__closure__ or ():
+            assert not isinstance(cell.cell_contents, Tensor), node.op
+    backward(out, params=params)
 
 
 def test_init_seed_changes_weights():
