@@ -34,24 +34,27 @@ L2 of the machine they were tuned on) and the input is read few times:
 - depthwise convs (one input and one output channel per group, as in the
   separable layer's spatial stage) run a broadcast multiply-add per offset,
   over blocks of channel rows sized to the budget;
-- ``stuffed_conv_nd`` (the stride-2 transposed conv) runs one sub-pixel GEMM
-  per group for every odd S (Shi et al., CVPR 2016): the ``(h + 1)^d``
-  shifts of the input, ``h = (S - 1) / 2``, are stacked along K, the
-  stencil's taps are scattered into a ``[(h + 1)^d Ci, Co 2^d]`` kernel
-  that maps them to the ``2^d`` output phases, and the result's two
-  last-axis phases of a voxel are written as one float pair. Its backward
-  reads ``g`` once per phase and group and runs the two transposed GEMMs.
-  The pooled form (``pool=True``, the group mean of the ReLU of the
-  output, for the super-resolution head) takes the ReLU in place on each
-  group's GEMM rows and adds them into one ``[B, C_out, *2D]`` output, so
-  the ``|H|`` times larger unpooled output is never stored. Its tape keeps
-  only the ReLU masks, one bit per pre-activation packed with
-  ``np.packbits`` (nothing under ``no_grad``), and its backward lays the
-  pooled ``g`` out once in the GEMM rows, then masks it per group. A
-  non-finite value is never dropped, but it also meets the kernel's zero
-  blocks (``0 * inf`` is NaN): a non-finite ``x`` makes ``y`` non-finite,
-  and a non-finite ``g`` both gradients, on other entries than in a conv
-  of the stuffed input.
+- ``stuffed_conv_nd`` (the stride-2 transposed conv) runs sub-pixel GEMMs
+  for every odd S (Shi et al., CVPR 2016): the ``(h + 1)^d`` shifts of the
+  input, ``h = (S - 1) / 2``, are stacked along K, and the stencil's taps
+  are scattered into a ``[(h + 1)^d Ci, Co 2^d]`` kernel per group that
+  maps them to the ``2^d`` output phases. One loop runs over tiles of GEMM
+  rows (flat padded voxels of the batch) sized to the budget, and over
+  every group inside each tile: it copies the tile's shift windows and
+  runs the GEMM while they are in cache. The rows are laid out into the
+  output once, a voxel's two last-axis phases as one float pair, and the
+  backward lays ``g`` out once into the same rows and runs the two
+  transposed GEMMs per tile and group. The pooled form (``pool=True``, the
+  group mean of the ReLU of the output, for the super-resolution head)
+  takes the ReLU in place on each tile's rows and sums the groups into
+  one ``[B * P, Co 2^d]`` accumulator, so the ``|H|`` times larger
+  unpooled output is never stored. Its tape keeps only the ReLU masks, one
+  bit per pre-activation packed tile by tile with ``np.packbits``
+  (nothing under ``no_grad``), and its backward masks the pooled ``g``
+  rows per tile and group. A non-finite value is never dropped, but it
+  also meets the kernel's zero blocks (``0 * inf`` is NaN): a non-finite
+  ``x`` makes ``y`` non-finite, and a non-finite ``g`` both gradients, on
+  other entries than in a conv of the stuffed input.
 
 All but the tap chunks read flat windows: the padded input is flattened
 over its spatial axes (over each plane's, for the slabs), so the input at
@@ -485,10 +488,16 @@ class _Subpixel:
     ``xf`` is ``x`` padded once, circularly, by ``lo = floor(h / 2)`` voxels
     on the low and ``ceil(h / 2)`` on the high side of each axis (``(0, 1)``
     at S = 3), and laid out ``[G, Ci, B * P]``: item ``b + 1`` starts ``P``
-    entries after item ``b``, so shift ``s`` of the whole batch is the flat
-    window ``[off[s], off[s] + m)``. Its junk columns (voxels past the edge)
-    are dropped by ``interior``. ``w`` is the ``_subpixel_kernel``. The batch
-    is folded into the GEMM rows, and each group runs its own GEMM.
+    entries after item ``b``, so shift ``s`` of GEMM rows ``[r0, r1)`` (flat
+    padded voxels of the batch) is the flat window ``[off[s] + r0, off[s] +
+    r1)``. The ``m`` rows up to the last interior voxel are computed; the
+    junk ones (voxels past the edge) are dropped by ``_pair_rows``. ``w`` is
+    the ``_subpixel_kernel``. The rows run in tiles of ``tile`` rows, a
+    multiple of 8 (so a tile's mask bits start on a byte): the budget is
+    the rows whose stack (``K`` values a row) and two ``[rows, N]`` blocks
+    fit in ``CACHE_BYTES``, and the ``m`` rows split evenly into the whole
+    number of budgets nearest to them, so no short tail tile repeats the
+    per-group loop.
     """
 
     def __init__(self, x: np.ndarray, k: np.ndarray, groups: int):
@@ -496,32 +505,64 @@ class _Subpixel:
         self.lo = h // 2
         xp = _pad_spatial(x.swapaxes(0, 1), [(self.lo, h - self.lo)] * d)
         self.B, self.D, self.d, self.padded = x.shape[0], x.shape[2:], d, xp.shape[2:]
-        offsets, n = _flat_windows(self.padded, self.D, np.ndindex(*(h + 1,) * d))
+        self.shifts = (h + 1,) * d
+        offsets, n = _flat_windows(self.padded, self.D, np.ndindex(*self.shifts))
         self.P = int(np.prod(self.padded))
         self.offsets, self.m = offsets, (self.B - 1) * self.P + n
         self.Ci, self.Co = x.shape[1] // groups, k.shape[0] // groups
         self.xf = xp.reshape(groups, self.Ci, -1)
         self.w = _subpixel_kernel(k, groups)
+        K, N = self.w.shape[1:]
+        budget = CACHE_BYTES // ((K + 2 * N) * np.result_type(x, k).itemsize)
+        count = max(1, round(self.m / max(1, budget)))
+        self.tile = -(-self.m // (8 * count)) * 8
 
-    def stacks(self, dtype):
-        """Yield ``(g, stack)`` per group: the ``(h + 1)^d`` windows of group
-        ``g`` stacked along K, ``[K, m]`` with rows ``(shift, ci)``. ``stack``
-        is one buffer, reused."""
+    def tiles(self, dtype):
+        """Yield ``(rows, g, stack)`` for each tile of GEMM rows (a slice of
+        ``[0, m)``) and, inside it, each group: the ``(h + 1)^d`` windows of
+        group ``g`` over those rows stacked along K, ``[K, len(rows)]`` with
+        rows ``(shift, ci)``. ``stack`` is one buffer, reused."""
         G, K, _ = self.w.shape
-        stack = np.empty((len(self.offsets), self.Ci, self.m), dtype=dtype)
-        for g in range(G):
-            for j, off in enumerate(self.offsets):
-                stack[j] = self.xf[g, :, off : off + self.m]
-            yield g, stack.reshape(K, self.m)
-
-    def interior(self, a: np.ndarray) -> np.ndarray:
-        """``[..., B * P]`` viewed as ``[..., B, *D]``."""
-        return _interior(a.reshape(a.shape[:-1] + (self.B, self.P)), self.padded, self.D)
+        buf = np.empty(self.shifts + (self.Ci, self.tile), dtype=dtype)
+        # shift s starts s . strides(padded) entries in, so all windows of a
+        # tile are one strided view of the padded input, copied at once
+        steps = np.cumprod((1,) + self.padded[:0:-1])[::-1] * self.xf.itemsize
+        for r0 in range(0, self.m, self.tile):
+            rows = slice(r0, min(self.m, r0 + self.tile))
+            stack = buf[..., : rows.stop - r0]
+            src = self.xf[:, :, r0:]
+            wins = np.lib.stride_tricks.as_strided(
+                src, (G,) + stack.shape, src.strides[:1] + tuple(steps) + src.strides[1:],
+                writeable=False,
+            )
+            for g in range(G):
+                stack[...] = wins[g]
+                yield rows, g, stack.reshape(K, -1)
 
 
 def _pair(dtype) -> np.dtype:
     """A complex type that moves two floats of ``dtype`` as one value."""
     return np.dtype(f"c{2 * np.dtype(dtype).itemsize}")
+
+
+def _pair_rows(sp: _Subpixel, r: np.ndarray) -> np.ndarray:
+    """GEMM rows ``[n, B * P, (co, phase)]`` (``n`` groups, or one pooled
+    block) viewed as float pairs (the two last-axis phases of a voxel sit
+    side by side), junk rows cut, in the order ``[B, n, Co, D0, 2, ...,
+    D_{d-1}]`` of ``_pair_blocks``."""
+    d = sp.d
+    order = [d + 1, 0, 1] + sum(([d + 2 + a, 2 + a] for a in range(d - 1)), []) + [2 * d + 1]
+    rp = r.view(_pair(r.dtype)).reshape(r.shape[:2] + (sp.Co,) + (2,) * (d - 1))
+    vol = np.moveaxis(rp, 1, -1).reshape(rp.shape[:1] + rp.shape[2:] + (sp.B, sp.P))
+    return _interior(vol, sp.padded, sp.D).transpose(order)
+
+
+def _pair_blocks(sp: _Subpixel, a: np.ndarray) -> np.ndarray:
+    """A contiguous ``[B, C, *2D]`` output or gradient as float pairs along
+    the last axis, each axis split into ``(v, phase)`` and ``C`` into blocks
+    of ``Co``: ``[B, C / Co, Co, D0, 2, ..., D_{d-1}]``."""
+    split = sum(((n, 2) for n in sp.D[:-1]), ()) + sp.D[-1:]
+    return a.view(_pair(a.dtype)).reshape((sp.B, -1, sp.Co) + split)
 
 
 def _stuffed_fwd(
@@ -531,41 +572,31 @@ def _stuffed_fwd(
     ``relu(y)`` as ``[B, Co, *2D]``; with ``keep_masks`` also each group's
     ReLU mask over its GEMM rows ``[m, N]``, packed flat to bits."""
     sp = _Subpixel(x, k, groups)
-    B, D, d, w, m = sp.B, sp.D, sp.d, sp.w, sp.m
+    w, m = sp.w, sp.m
     G, _, N = w.shape
-    lead = (B,) if pool else (B, G)
-    out = (np.zeros if pool else np.empty)(
-        lead + (sp.Co,) + tuple(2 * n for n in D), dtype=np.result_type(x, k)
-    )
-    # out as float pairs along the last axis, each axis split into (v, phase):
-    # [*lead, Co, D0, 2, ..., D_{d-1}]
-    pairs = out.view(_pair(out.dtype)).reshape(
-        lead + (sp.Co,) + sum(((n, 2) for n in D[:-1]), ()) + D[-1:]
+    # each group's GEMM rows, [G, B * P, (co, phase)], or with pool the sum
+    # of their ReLUs, [1, B * P, (co, phase)]
+    acc = (np.zeros if pool else np.empty)(
+        (1 if pool else G, sp.B * sp.P, N), dtype=np.result_type(x, k)
     )
     masks = np.empty((G, -(-m * N // 8)), dtype=np.uint8) if keep_masks else None
-    r = np.empty((B * sp.P, N), dtype=out.dtype)
-    for g, stack in sp.stacks(x.dtype):
-        np.matmul(stack.T, w[g], out=r[:m])
+    r = np.empty((sp.tile, N), dtype=acc.dtype)
+    for rows, g, stack in sp.tiles(x.dtype):
         if pool:
-            np.maximum(r[:m], 0, out=r[:m])  # NaN stays NaN
+            rt = np.matmul(stack.T, w[g], out=r[: rows.stop - rows.start])
+            np.maximum(rt, 0, out=rt)  # NaN stays NaN
             if keep_masks:
-                masks[g] = np.packbits(r[:m] > 0)
-            pairs += _pair_rows(sp, r)
+                masks[g, rows.start * N // 8 : -(-rows.stop * N // 8)] = np.packbits(rt > 0)
+            acc[0, rows] += rt
         else:
-            pairs[:, g] = _pair_rows(sp, r)
+            np.matmul(stack.T, w[g], out=acc[g, rows])
+    out = np.empty(
+        (sp.B, len(acc) * sp.Co) + tuple(2 * n for n in sp.D), dtype=acc.dtype
+    )
+    _pair_blocks(sp, out)[...] = _pair_rows(sp, acc)
     if pool:
         out /= G
-    return out.reshape((B, -1) + out.shape[-d:]), masks
-
-
-def _pair_rows(sp: _Subpixel, r: np.ndarray) -> np.ndarray:
-    """GEMM rows ``[B * P, (co, phase)]`` viewed as float pairs (the two
-    last-axis phases of a voxel sit side by side) in the order
-    ``[B, Co, D0, 2, ..., D_{d-1}]`` of the output's pair view."""
-    d = sp.d
-    order = [d, 0] + sum(([d + 1 + a, 1 + a] for a in range(d - 1)), []) + [2 * d]
-    rp = r.view(_pair(r.dtype)).reshape((-1, sp.Co) + (2,) * (d - 1))
-    return sp.interior(np.moveaxis(rp, 0, -1)).transpose(order)
+    return out, masks
 
 
 def _stuffed_bwd(
@@ -575,42 +606,34 @@ def _stuffed_bwd(
     """Gradients of ``_stuffed_fwd``; ``masks`` given means the pooled form,
     with ``g`` of shape ``[B, Co, *2D]``."""
     sp = _Subpixel(x, k, groups)
-    B, D, d, w, m = sp.B, sp.D, sp.d, sp.w, sp.m
-    G, _, N = w.shape
-    gw = np.empty(w.shape, dtype=np.result_type(g, x))
+    w, B, D = sp.w, sp.B, sp.D
+    G, K, N = w.shape
+    # g goes once into the forward's GEMM rows, zero on the junk rows; the
+    # pooled g is divided by |H|, as the mean's gradient is, and each group
+    # masks it with its ReLU tile by tile
+    blocks = _pair_blocks(sp, np.ascontiguousarray(g))
+    rows = np.zeros((blocks.shape[1], B * sp.P, N), dtype=g.dtype)
+    _pair_rows(sp, rows)[...] = blocks
+    if masks is not None:
+        rows /= G
+        gm = np.empty((sp.tile, N), dtype=g.dtype)
+    gw = np.zeros(w.shape, dtype=np.result_type(g, x))
+    gwt = np.empty((K, N), dtype=gw.dtype)
     if want_gx:
         gxp = np.zeros(sp.xf.shape, dtype=np.result_type(g, k))
-    if masks is None:
-        # g split per axis into (v, phase): [B, G, Co, D0, 2, ..., D_{d-1}, 2];
-        # one group's g goes phase-major in the padded layout,
-        # [(co, phase), B * P], zero on the junk columns: a strided read per
-        # phase, which runs faster than writing GEMM rows of pairs
-        gv = g.reshape((B, G, sp.Co) + sum(((n, 2) for n in D), ()))
-        gr = np.zeros((N, B * sp.P), dtype=g.dtype)
-        dst = sp.interior(gr.reshape(sp.Co, 2**d, -1))
-    else:
-        # the pooled g, over |H| as the mean's gradient is, goes once into the
-        # GEMM rows of the forward, [B * P, (co, phase)], zero on the junk rows;
-        # each group masks it with its ReLU
-        rows = np.zeros((B * sp.P, N), dtype=g.dtype)
-        dst = _pair_rows(sp, rows)
-        dst[...] = (np.ascontiguousarray(g) / G).view(_pair(g.dtype)).reshape(dst.shape)
-        gm = np.empty((m, N), dtype=g.dtype)
-    for gi, stack in sp.stacks(np.result_type(x, k, g)):
+    for rs, gi, stack in sp.tiles(np.result_type(x, k, g)):
+        n = rs.stop - rs.start
         if masks is None:
-            for i, phi in enumerate(np.ndindex(*(2,) * d)):
-                at = sum(((slice(None), p) for p in phi), ())
-                dst[:, i] = np.moveaxis(gv[(slice(None), gi, slice(None)) + at], 0, 1)
-            gt = gr[:, :m]
+            gt = rows[gi, rs]
         else:
-            mask = np.unpackbits(masks[gi], count=m * N).view(bool).reshape(m, N)
-            gt = np.multiply(rows[:m], mask, out=gm).T
-        np.matmul(stack, gt.T, out=gw[gi])
+            bits = masks[gi, rs.start * N // 8 :]
+            mask = np.unpackbits(bits, count=n * N).view(bool).reshape(n, N)
+            gt = np.multiply(rows[0, rs], mask, out=gm[:n])
+        gw[gi] += np.matmul(stack, gt, out=gwt)
         if want_gx:
-            gst = np.matmul(w[gi], gt, out=stack)
-            gst = gst.reshape(len(sp.offsets), sp.Ci, m)
+            gst = np.matmul(w[gi], gt.T, out=stack).reshape(len(sp.offsets), sp.Ci, n)
             for j, off in enumerate(sp.offsets):
-                gxp[gi, :, off : off + m] += gst[j]
+                gxp[gi, :, off + rs.start : off + rs.stop] += gst[j]
     gk = _subpixel_kernel_grad(gw, k.shape)
     if not want_gx:
         return None, gk
@@ -630,15 +653,17 @@ def stuffed_conv_nd(
     """Correlate the 2x zero-stuffed input (one zero after every sample
     along each spatial axis), so every spatial extent doubles.
 
-    One sub-pixel GEMM per group writes all ``2^d`` output phases, through a
-    kernel that holds each tap in one block and zeros elsewhere: in 3D at
-    S = 3, 64 blocks per input voxel, 27 of them taps, against the 8 x 27 of
-    a conv of the stuffed input. The module docstring gives where non-finite
-    values land.
+    Sub-pixel GEMMs write all ``2^d`` output phases, through a kernel that
+    holds each tap in one block and zeros elsewhere: in 3D at S = 3, 64
+    blocks per input voxel, 27 of them taps, against the 8 x 27 of a conv
+    of the stuffed input. They run per tile of rows sized to
+    ``CACHE_BYTES``, every group per tile, so beyond the padded input, the
+    output's (or ``g``'s) rows and the ``gx`` accumulator, the forward and
+    backward hold a few tile-sized buffers. The module docstring gives
+    where non-finite values land.
 
     With ``pool=True`` the result is the mean over the ``groups`` of the
-    ReLU of that output, ``[B, C_out, *2D]``, summed as each group's GEMM
-    ends.
+    ReLU of that output, ``[B, C_out, *2D]``, summed tile by tile.
     """
     _check_conv_args(
         x.shape[:2] + tuple(2 * n for n in x.shape[2:]), kernel.shape, groups

@@ -1,5 +1,7 @@
 """Convolution and gather primitives against brute-force reference loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,12 @@ from rgconv.autodiff import (
     Tensor,
     backward,
     finite_diff_grad,
+    mean_,
     mul,
     parameter,
     record,
+    relu,
+    reshape,
     sum_,
     tensor,
     zero_grads,
@@ -415,6 +420,71 @@ def test_stuffed_conv_gradients_match_composition():
             # (over the 7^d kernels it takes seconds)
             check_grad(lambda: sum_(mul(stuffed_conv_nd(x, k, groups=2), w)), x)
             check_grad(lambda: sum_(mul(stuffed_conv_nd(x, k, groups=2), w)), k)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("pool", [False, True])
+@pytest.mark.parametrize("xshape,kshape,groups", [
+    ((2, 6, 5, 7), (9, 2, 3, 3), 3),  # odd C_out in 2D: 12 mask bits a row
+    ((1, 4, 5, 4, 5), (4, 2, 3, 3, 3), 2),
+    ((2, 4, 3, 4, 3), (4, 2, 5, 5, 5), 2),
+    ((2, 3, 5, 6), (2, 3, 3, 3), 1),  # the form of ConvTransposeLayer
+])
+def test_stuffed_conv_row_tiles_match_composition(monkeypatch, xshape, kshape, groups, pool, dtype):
+    # under a CACHE_BYTES (given at f64) of a few rows the GEMM rows run in
+    # at least 3 tiles, the last one ragged; y, gx and gk must match the
+    # composition with the zero-stuffed input, computed in one tile
+    rng = np.random.default_rng(19)
+    x = parameter(rng.normal(size=xshape).astype(dtype))
+    k = parameter(rng.normal(size=kshape).astype(dtype))
+    B, G, Co = xshape[0], groups, kshape[0] // groups
+    up = tuple(2 * n for n in xshape[2:])
+    w = tensor(rng.normal(size=(B, Co if pool else G * Co) + up).astype(dtype))
+
+    def composed(a, b, groups):
+        y = conv_nd(zero_stuff(a), b, groups=groups)
+        return mean_(relu(reshape(y, (B, G, Co) + up)), axes=(1,)) if pool else y
+
+    results = []
+    for op, cache in ((stuffed_conv_nd, 2860), (composed, None)):
+        with monkeypatch.context() as patch:
+            if cache:
+                patch.setattr(convops, "CACHE_BYTES", cache * np.dtype(dtype).itemsize // 8)
+                sp = convops._Subpixel(x.data, k.data, groups)
+                assert sp.m > 2 * sp.tile and sp.m % sp.tile
+            zero_grads([x, k])
+            y = op(x, k, groups=groups, **({"pool": pool} if cache else {}))
+            backward(sum_(mul(y, w)), params=[x, k])
+        results.append((y.data, x.grad.copy(), k.grad.copy()))
+    atol = 1e-4 if dtype == np.float32 else 1e-12
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.dtype == want.dtype == dtype
+        assert np.allclose(got, want, atol=atol)
+
+
+def test_pooled_stuffed_backward_workspace():
+    # the pooled O24 head at the super-resolution bench shape, f32: beyond
+    # what is held when it starts, its backward holds the re-padded x, the
+    # gx accumulator and the pooled g in GEMM rows, plus tile-sized buffers
+    rng = np.random.default_rng(20)
+    B, G, Ci, Co, n = 4, 24, 4, 4, 16
+    x = parameter(rng.normal(size=(B, G * Ci, n, n, n)).astype(np.float32))
+    k = parameter(rng.normal(size=(G * Co, Ci, 3, 3, 3)).astype(np.float32))
+    y = stuffed_conv_nd(x, k, groups=G, pool=True)
+    g = rng.normal(size=y.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gx, gk = y.node.pull(g)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+        y.node.tape.release()
+    padded = x.data.nbytes * (n + 1) ** 3 // n**3  # the halo of S = 3: one voxel high
+    rows = B * (n + 1) ** 3 * Co * 8 * 4
+    assert gx.shape == x.shape and gk.shape == k.shape
+    assert peak < 2 * padded + rows + 2 * convops.CACHE_BYTES
 
 
 @pytest.mark.parametrize("route", ["conv", "depthwise", "stuffed"])

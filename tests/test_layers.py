@@ -14,6 +14,7 @@ from rgconv.autodiff import (
     tensor,
     zero_grads,
 )
+from rgconv import convops
 from rgconv.convops import conv_transpose_nd
 from rgconv.errors import ConfigError, ShapeError
 from rgconv.groups import build_group, transform_grid, transform_group_feature
@@ -264,12 +265,12 @@ def test_group_upsample_gradients():
     grad_check_layer(up, f, [up.kernel])
 
 
-def _pooled_and_composed(G, S, dtype, f):
+def _pooled_and_composed(G, S, dtype, f, C_out=2):
     """The fused head ``GroupUpsampleConv(pool=True)`` and the composition it
     replaces, ``group_pool(relu(GroupUpsampleConv(x)))``, on one kernel."""
-    fused = GroupUpsampleConv(G, f.shape[1], 2, kernel_size=S, pool=True, dtype=dtype)
+    fused = GroupUpsampleConv(G, f.shape[1], C_out, kernel_size=S, pool=True, dtype=dtype)
     fused.init(np.random.default_rng(31))
-    plain = GroupUpsampleConv(G, f.shape[1], 2, kernel_size=S, dtype=dtype)
+    plain = GroupUpsampleConv(G, f.shape[1], C_out, kernel_size=S, dtype=dtype)
     plain.kernel.data[...] = fused.kernel.data
     return (fused, lambda y: y), (plain, lambda y: group_pool(relu(y)))
 
@@ -277,23 +278,38 @@ def _pooled_and_composed(G, S, dtype, f):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("S", [3, 5])
 @pytest.mark.parametrize("B", [1, 3])
-@pytest.mark.parametrize("G,spatial", [(C4, (5, 6)), (O24, (5, 4, 5))])
-def test_pooled_upsample_matches_composition(G, spatial, B, S, dtype):
+@pytest.mark.parametrize("G,spatial,C_out,budget", [
+    pytest.param(C4, (5, 6), 2, None, id="G0-spatial0"),
+    pytest.param(O24, (5, 4, 5), 2, None, id="G1-spatial1"),
+    # the fused head under a CACHE_BYTES (given at f64) of 3 to 9 rows, so
+    # its rows run in at least 3 tiles of 8, the last one ragged. With an
+    # odd C_out in 2D a row holds 12 mask bits, so a tile of the C4 case's
+    # odd budgets (9 and 7 rows) would start its bits off a byte boundary
+    pytest.param(C4, (5, 7), 3, 2860, id="C4-odd-C_out-row-tiles"),
+    pytest.param(O24, (3, 4, 3), 2, 2860, id="O24-row-tiles"),
+])
+def test_pooled_upsample_matches_composition(monkeypatch, G, spatial, C_out, budget, B, S, dtype):
     rng = np.random.default_rng(30)
     f = rng.normal(size=(B, 3, G.order) + spatial).astype(dtype)
-    r = tensor(rng.normal(size=(B, 2) + tuple(2 * n for n in spatial)).astype(dtype))
+    r = tensor(rng.normal(size=(B, C_out) + tuple(2 * n for n in spatial)).astype(dtype))
     results = []
-    for layer, head in _pooled_and_composed(G, S, dtype, f):
-        x = Tensor(f.copy(), requires_grad=True)
-        zero_grads([x, layer.kernel])
-        y = head(layer(x))
-        backward(sum_(mul(y, r)), params=[x, layer.kernel])
+    for (layer, head), cache in zip(_pooled_and_composed(G, S, dtype, f, C_out), (budget, None)):
+        with monkeypatch.context() as patch:
+            if cache:
+                patch.setattr(convops, "CACHE_BYTES", cache * np.dtype(dtype).itemsize // 8)
+                k = np.zeros((G.order * C_out, 3) + (S,) * len(spatial), dtype)
+                sp = convops._Subpixel(f.reshape(B, -1, *spatial), k, G.order)
+                assert sp.m > 2 * sp.tile and sp.m % sp.tile
+            x = Tensor(f.copy(), requires_grad=True)
+            zero_grads([x, layer.kernel])
+            y = head(layer(x))
+            backward(sum_(mul(y, r)), params=[x, layer.kernel])
         results.append((y.data, x.grad, layer.kernel.grad))
     rtol = 1e-12 if dtype == np.float64 else 1e-5
     for got, want in zip(*results):
         assert got.shape == want.shape and got.dtype == want.dtype == dtype
         assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
-    assert results[0][0].shape == (B, 2) + tuple(2 * n for n in spatial)
+    assert results[0][0].shape == (B, C_out) + tuple(2 * n for n in spatial)
 
 
 def test_pooled_upsample_no_grad_records_nothing(monkeypatch):
