@@ -6,9 +6,10 @@ with 2 or 3 trailing spatial axes. Kernels are centered and odd-sized, and
 offsets ``o`` in ``[-(S-1)/2, (S-1)/2]^d``. Padding is circular (periodic
 wrap) only.
 
-Inner loops, by kernel shape. Each loop's tile is sized from the shapes so
-that its working set stays within ``CACHE_BYTES`` (1 MiB, half the per-core
-L2 of the machine they were tuned on) and the input is read few times:
+Inner loops, chosen by kernel shape alone (``_dense_route``). Each loop's
+tile is sized from the shapes so that its working set stays within
+``CACHE_BYTES`` (1 MiB, half the per-core L2 of the machine they were tuned
+on) and the input is read few times:
 
 - dense and grouped convs with ``T C_out <= C_in`` (a head that maps many
   channels to few, as the pooled discovery head) take *output-side taps*:
@@ -16,21 +17,21 @@ L2 of the machine they were tuned on) and the input is read few times:
   once, then the ``T`` outputs' flat windows are summed. The kernel
   gradient is one GEMM of the padded input against ``T`` shifted copies of
   the padded ``g``;
-- dense convs whose tap window (``B C_in vol`` values) is over the budget,
-  and where one output plane's windows of all ``T`` taps fit in the buffer
-  the tap chunks below would use (``C_in c vol`` values), take *all-tap
-  plane slabs*: per tile of batch items and whole output planes (along the
-  first spatial axis), as many as fit in the budget, all ``T`` windows are
-  copied into one stack and meet the whole ``[C_out, C_in T]`` kernel in
-  one GEMM (Chellapilla et al., 2006). The kernel gradient runs the same
-  tiles and sums them;
-- all other dense convs run one batched matmul per chunk of
-  ``c = min(T, max(1, C_out // C_in))`` of the ``T`` kernel offsets (taps):
-  the chunk's input windows are copied into one stack with rows
-  ``(ci, tap)``, which from two taps on never holds more values than the
-  output, and meet the matching ``[C_out, C_in c]`` slice of the kernel.
-  A lifting conv (``C_in = 1``) is one GEMM; where ``C_out < 2 C_in`` it is
-  one window per tap. The kernel gradient runs the same chunks;
+- the other dense convs group the ``T`` kernel offsets (taps) in chunks of
+  ``c = min(T, max(1, C_out // C_in))``. Where a chunk covers all ``T``
+  taps (the lifting convs) or its GEMM is deep (``K = C_in c >= 32``, the
+  group nets' hidden layers), they run one batched matmul per chunk: the
+  chunk's input windows are copied into one stack with rows ``(ci, tap)``,
+  which from two taps on never holds more values than the output, and meet
+  the matching ``[C_out, C_in c]`` slice of the kernel; at ``c = 1`` it is
+  one window per tap. The kernel gradient runs the same chunks, and at
+  ``c = 1`` each tap writes its block in place into a tap-major buffer;
+- every shallower dense conv (the plain-conv baseline's ``K = 4`` and 9)
+  takes *all-tap plane slabs*: per tile of batch items and whole output
+  planes (along the first spatial axis), as many as fit in the budget, all
+  ``T`` windows are copied into one stack and meet the whole
+  ``[C_out, C_in T]`` kernel in one GEMM (Chellapilla et al., 2006). The
+  kernel gradient runs the same tiles and sums them;
 - depthwise convs (one input and one output channel per group, as in the
   separable layer's spatial stage) run a broadcast multiply-add per offset,
   over blocks of channel rows sized to the budget;
@@ -208,20 +209,18 @@ def _depthwise_bwd_kernel(g: np.ndarray, x: np.ndarray, k_shape) -> np.ndarray:
     return gk.reshape(k_shape)
 
 
-def _dense_route(x_shape, k_shape, groups: int, itemsize: int) -> str:
-    """The loop a dense conv of these shapes runs: ``"outputs"``
-    (``_out_taps_fwd``), ``"slabs"`` (``_plane_slabs``) or ``"chunks"``
-    (``_tap_chunks``)."""
+def _dense_route(k_shape, groups: int) -> str:
+    """The loop a dense conv of this kernel runs: ``"outputs"``
+    (``_out_taps_fwd``) where ``T C_out <= C_in``, else ``"chunks"``
+    (``_tap_chunks``) where its chunk covers all ``T`` taps or its chunk
+    GEMM is deep (``K = C_in c >= 32``), else ``"slabs"``
+    (``_plane_slabs``)."""
     Ci, Co = k_shape[1], k_shape[0] // groups
-    T, D, S = int(np.prod(k_shape[2:])), x_shape[2:], k_shape[2:]
+    T = int(np.prod(k_shape[2:]))
     if T * Co <= Ci:
         return "outputs"
-    # a slab of one plane (L columns) must fit in the c-tap chunk's buffer
     c = min(T, max(1, Co // Ci))
-    L = D[1] * int(np.prod([n + s - 1 for n, s in zip(D[2:], S[2:])]))
-    if int(np.prod(x_shape)) * itemsize > CACHE_BYTES and T * L <= c * int(np.prod(D)):
-        return "slabs"
-    return "chunks"
+    return "chunks" if c == T or Ci * c >= 32 else "slabs"
 
 
 def _padded(x: np.ndarray, S, groups: int) -> np.ndarray:
@@ -239,7 +238,9 @@ def _tap_chunks(x: np.ndarray, k_shape, groups: int):
     A chunk holds ``c = min(T, max(1, Co // Ci))`` taps: at ``c = 1`` the
     stack is one window, and above it never holds more values than the
     conv's output. The stack is one buffer, reused; a partial last chunk
-    gets its own.
+    gets its own. ``_dense_route`` sends a conv here only where ``c = T``
+    or the chunk GEMM is deep (``K = Ci c >= 32``); shallower chunk GEMMs
+    run faster as one all-tap GEMM on the plane slabs.
     """
     B, D, S = x.shape[0], x.shape[2:], k_shape[2:]
     Ci, Co = k_shape[1], k_shape[0] // groups
@@ -356,7 +357,7 @@ def _out_taps_bwd_kernel(g: np.ndarray, x: np.ndarray, k_shape, groups: int) -> 
 def _conv_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
     if _is_depthwise(k.shape, groups):
         return _depthwise_fwd(x, k)
-    route = _dense_route(x.shape, k.shape, groups, x.itemsize)
+    route = _dense_route(k.shape, groups)
     if route == "outputs":
         return _out_taps_fwd(x, k, groups)
     B, D, G = x.shape[0], x.shape[2:], groups
@@ -383,22 +384,30 @@ def _conv_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
 def _conv_bwd_kernel(g: np.ndarray, x: np.ndarray, k_shape, groups: int) -> np.ndarray:
     if _is_depthwise(k_shape, groups):
         return _depthwise_bwd_kernel(g, x, k_shape)
-    route = _dense_route(x.shape, k_shape, groups, x.itemsize)
+    route = _dense_route(k_shape, groups)
     if route == "outputs":
         return _out_taps_bwd_kernel(g, x, k_shape, groups)
-    B, G = x.shape[0], groups
+    B, G, T = x.shape[0], groups, int(np.prod(k_shape[2:]))
     Ci, Co = k_shape[1], k_shape[0] // G
-    gr = g.reshape(B, G, Co, -1)
-    gk = np.empty((G, Co, Ci, int(np.prod(k_shape[2:]))), dtype=np.result_type(g, x))
+    gr, dtype = g.reshape(B, G, Co, -1), np.result_type(g, x)
     if route == "slabs":
-        D, gv, gs = x.shape[2:], g.reshape((B, G, Co) + x.shape[2:]), gk.reshape(G, Co, -1)
-        gs[...] = 0
+        D, gk = x.shape[2:], np.zeros((G, Co, Ci * T), dtype)
+        gv = g.reshape((B, G, Co) + D)
         for items, z0, z1, stack in _plane_slabs(x, k_shape, G):
             # the tile of g in the stack's columns, zero on the junk ones
             gp = np.zeros(stack.shape[:2] + (Co, stack.shape[-1]), dtype=g.dtype)
             _slab_planes(gp, D, k_shape[2:])[...] = gv[items, :, :, z0:z1]
-            gs += (gp @ stack.swapaxes(-1, -2)).sum(axis=0)
+            gk += (gp @ stack.swapaxes(-1, -2)).sum(axis=0)
         return gk.reshape(k_shape)
+    if min(T, Co // Ci) <= 1:  # one tap per chunk: each writes its block in place
+        buf = np.empty((T, G, Co, Ci), dtype)
+        for t, _, stack in _tap_chunks(x, k_shape, G):
+            if B == 1:
+                np.matmul(gr[0], stack[0].swapaxes(-1, -2), out=buf[t])
+            else:
+                np.sum(gr @ stack.swapaxes(-1, -2), axis=0, out=buf[t])
+        return np.moveaxis(buf, 0, -1).reshape(k_shape)
+    gk = np.empty((G, Co, Ci, T), dtype)
     for t0, t1, stack in _tap_chunks(x, k_shape, G):
         gc = (gr @ stack.swapaxes(-1, -2)).sum(axis=0)
         gk[..., t0:t1] = gc.reshape(G, Co, Ci, t1 - t0)

@@ -14,6 +14,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from rgconv import (
     ConvLayer,
@@ -455,6 +456,7 @@ def test_criterion_6_planar_discovery_patterns(capsys):
 # 7. voxel discovery recovers the crystal stabilizers
 
 
+@pytest.mark.slow
 def test_criterion_7_voxel_discovery_recovers_stabilizers(capsys):
     t0 = time.perf_counter()
     got = {}
@@ -484,6 +486,7 @@ def test_criterion_7_voxel_discovery_recovers_stabilizers(capsys):
 # 8. super-resolution orderings across model families
 
 
+@pytest.mark.slow
 def test_criterion_8_superres_orderings(capsys):
     t0 = time.perf_counter()
     finals: dict[tuple[str, str], list[float]] = {}

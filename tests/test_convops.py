@@ -218,10 +218,64 @@ def test_tap_chunk_gradients(D, G, Ci, Co, S, widths, padding):
     check_grad(lambda: sum_(mul(conv_nd(x, k, groups=G), w)), k)
 
 
+def per_tap_conv(D, B, G, dtype, Ci=32, Co=5, seed=22):
+    """``x``, ``g`` and the kernel shape of a conv on the tap loop with one
+    tap per chunk (``c = 1``, ``K = C_in >= 32``)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(B, G * Ci) + D).astype(dtype)
+    g = rng.normal(size=(B, G * Co) + D).astype(dtype)
+    k_shape = (G * Co, Ci) + (3,) * len(D)
+    assert _dense_route(k_shape, G) == "chunks"
+    return x, g, k_shape
+
+
+@pytest.mark.parametrize("D", [(5, 6), (4, 3, 5)])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("G", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_per_tap_kernel_gradient_matches_sum_and_scatter(D, B, G, dtype):
+    # each tap writes its [G, Co, Ci] block in place; bitwise what the
+    # batched GEMM, its sum over the batch and a scatter into gk[..., t] give
+    x, g, k_shape = per_tap_conv(D, B, G, dtype)
+    Co, Ci = k_shape[0] // G, k_shape[1]
+    want = np.empty((G, Co, Ci, 3 ** len(D)), dtype=dtype)
+    for t0, t1, stack in _tap_chunks(x, k_shape, G):
+        gc = (g.reshape(B, G, Co, -1) @ stack.swapaxes(-1, -2)).sum(axis=0)
+        want[..., t0:t1] = gc.reshape(G, Co, Ci, t1 - t0)
+    got = convops._conv_bwd_kernel(g, x, k_shape, G)
+    assert got.shape == k_shape and got.dtype == dtype
+    assert np.array_equal(got, want.reshape(k_shape))
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("G", [1, 2])
+def test_per_tap_kernel_gradient_workspace(B, G):
+    # beyond what is held when it starts, the per-tap kernel gradient holds
+    # the kernel, the padded input and one tap's window; at B > 1 also the
+    # batched GEMM's [B, G, Co, Ci] product before its batch sum. No tap
+    # makes a temporary block of its own (which the bound's slack of half a
+    # block leaves no room for)
+    n, Ci, Co = 6, 64, 64
+    x, g, k_shape = per_tap_conv((n, n, n), B, G, np.float64, Ci, Co)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gk = convops._conv_bwd_kernel(g, x, k_shape, G)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    padded = x.nbytes * (n + 2) ** 3 // n**3  # the halo of S = 3: one voxel each side
+    block = G * Co * Ci * x.itemsize  # one tap's gradient
+    batched = B * block if B > 1 else 0
+    assert gk.shape == k_shape
+    assert peak < gk.nbytes + padded + x.nbytes + batched + block // 2
+
+
 # (route, spatial, groups, C_in, C_out, S) per group, a CACHE_BYTES at f64
-# (halved at f32) that sends these small shapes, at batch 3, down the
-# cache-sized routes, and the route's blocks: (items, planes) per slab tile,
-# channel rows per depthwise forward block
+# (halved at f32) that splits these small shapes, at batch 3, into several
+# tiles, and the route's blocks: (items, planes) per slab tile, channel rows
+# per depthwise forward block
 ROUTE_CASES = [
     ("slabs", (21, 4), 1, 2, 3, 3, 3500, [(3, 2)] * 10 + [(3, 1)]),  # partial planes
     ("slabs", (21, 4), 1, 2, 3, 3, 1200, [(2, 1)] * 21 + [(1, 1)] * 21),  # items
@@ -244,7 +298,7 @@ def route_conv(monkeypatch, case, dtype):
     if route == "depthwise":
         assert Ci == 1 and Co == 1
     else:
-        assert _dense_route(x.shape, k.shape, G, x.itemsize) == route
+        assert _dense_route(k.shape, G) == route
     return x, k
 
 
@@ -286,16 +340,27 @@ def test_cache_sized_route_gradients(monkeypatch, case, padding):
     ("super-resolution output conv", (4, 4, 32, 32, 32), (3, 4, 3, 3, 3), 1,
      np.float32, ["slabs"] * 3),
     ("its B = 1 inference", (1, 4, 32, 32, 32), (3, 4, 3, 3, 3), 1,
-     np.float32, ["chunks"] * 3),
+     np.float32, ["slabs"] * 3),
     ("O48 pooled head", (1, 192, 11, 11, 11), (1, 192, 3, 3, 3), 1,
      np.float64, ["outputs", "chunks", "outputs"]),
     ("C4 pooled head", (1, 32, 15, 15), (1, 32, 3, 3), 1,
      np.float64, ["outputs", "chunks", "outputs"]),
-    # a window over the budget, but one plane's all-tap stack does not fit
     ("O48 hidden layer", (1, 192, 11, 11, 11), (192, 192, 3, 3, 3), 1,
      np.float64, ["chunks"] * 3),
     ("separable spatial stage", (4, 96, 8, 8, 8), (96, 1, 3, 3, 3), 96,
      np.float32, ["depthwise"] * 3),
+    # shallow chunk GEMMs (K = C_in c < 32) take the slabs, whatever the size
+    ("conv-baseline trunk", (4, 4, 8, 8, 8), (4, 4, 3, 3, 3), 1,
+     np.float32, ["slabs"] * 3),
+    ("conv-baseline lifting conv", (4, 9, 8, 8, 8), (4, 9, 3, 3, 3), 1,
+     np.float32, ["slabs"] * 3),
+    # a chunk over all T taps keeps the tap loop; so does a deep chunk GEMM
+    ("O48 lifting conv", (1, 1, 11, 11, 11), (192, 1, 3, 3, 3), 1,
+     np.float64, ["chunks", "outputs", "chunks"]),
+    ("O24 lifting conv, K = 90", (4, 9, 8, 8, 8), (96, 9, 3, 3, 3), 1,
+     np.float32, ["chunks"] * 3),
+    ("C4 hidden layer, K = 32", (1, 32, 15, 15), (32, 32, 3, 3), 1,
+     np.float64, ["chunks"] * 3),
 ])
 def test_dense_conv_route(monkeypatch, case, shape, kshape, groups, dtype, routes):
     # forward, input gradient and kernel gradient, in the order they run;
