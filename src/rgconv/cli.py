@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import finite_diff_grad, loss, tensor, zero_grads, backward
 from .config import ALL_TASKS, DISCOVERY_TASKS, SUPERRES_TASKS, ExperimentConfig
-from .data import gen_flow_dataset, gen_shape2d, gen_perovskite, rasterize
+from .data import gen_flow_dataset
 from .errors import (
     ConfigError,
     ContractError,
@@ -104,13 +104,10 @@ def _cmd_gen(args) -> int:
         write_rgt1(args.out, tensors)
         print(f"wrote {len(data.samples)} flow samples to {args.out}")
         return 0
-    if args.task.startswith("square"):
-        x, y = gen_shape2d(args.task, args.size or 15)
-    else:
-        size = args.size or 17
-        phase = args.task.split("_to_")[1]
-        x = rasterize(gen_perovskite("cubic", grid=size), channels=1)
-        y = rasterize(gen_perovskite(phase, delta=args.delta, grid=size), channels=1)
+    size = args.size or (15 if args.task.startswith("square") else 17)
+    x, y = discovery_pair(
+        ExperimentConfig(task=args.task, grid_size=size, delta=args.delta)
+    )
     write_rgt1(args.out, [("x", x), ("y", y)])
     print(f"wrote input {x.shape} and target {y.shape} to {args.out}")
     return 0
@@ -159,8 +156,8 @@ def _cmd_check_equiv(args) -> int:
     if model.group is None:
         raise ConfigError("check-equiv needs a group model checkpoint")
     if config.task not in DISCOVERY_TASKS:
-        raise ConfigError("check-equiv applies to discovery checkpoints "
-                          "(odd grids, scalar channels)")
+        raise ConfigError("check-equiv checks scalar channels, so it applies to "
+                          "discovery checkpoints; flow velocities are vectors")
     shape = (1,) + (config.grid_size,) * model.group.dim
     worst = 0.0
     for i in range(args.inputs):

@@ -1,8 +1,8 @@
 """Finite point groups acting on square and cubic grids.
 
 Every supported group is represented by d x d signed permutation matrices
-(d = 2 or 3), so group actions on centered odd-sized grids are exact index
-permutations and no interpolation is ever involved.
+(d = 2 or 3), so group actions on square and cubic grids of any extent are
+exact index permutations and no interpolation is ever involved.
 
 Conventions used throughout the package:
 
@@ -12,8 +12,8 @@ Conventions used throughout the package:
   ``(pi_g k)(o) = k(g^-1 o)``
 - ``sigma`` index tables realize the group-axis left action:
   ``(sigma_g v)[j] = v[index(g^-1 * elements[j])]``
-- grids transform about their center voxel ``c = (D - 1) / 2``, which is why
-  all spatial extents must be odd
+- grids of every extent ``D`` transform about their centre
+  ``c = (D - 1) / 2``, which is a voxel centre or a voxel corner
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class FiniteGroup:
         raise KeyError(f"no element named {name!r} in {self.kind}")
 
     def grid_cache(self, size: int) -> "GridActionCache":
-        """Memoized action cache for odd grid/kernel extent ``size``."""
+        """Memoized action cache for grid/kernel extent ``size``."""
         if size not in self._grid_caches:
             self._grid_caches[size] = build_action_cache(self, size)
         return self._grid_caches[size]
@@ -100,7 +100,7 @@ class FiniteGroup:
 
 @dataclass(eq=False)
 class GridActionCache:
-    """Index tables for one group acting on one odd cubic/square extent.
+    """Index tables for one group acting on one cubic/square extent.
 
     ``pi[g]`` permutes flattened kernel positions: gathering a flat kernel
     with ``pi[g]`` yields the kernel rotated by ``g``. ``sigma[g]`` permutes
@@ -340,19 +340,23 @@ def act_on_offset(group: FiniteGroup, g: int, offset) -> tuple[int, ...]:
 
 
 def build_action_cache(group: FiniteGroup, size: int) -> GridActionCache:
-    """Precompute index permutations for a centered odd extent ``size``."""
-    if size < 1 or size % 2 == 0:
-        raise ConfigError(f"grid/kernel extent must be odd and positive, got {size}")
+    """Precompute index permutations for extent ``size`` about its centre.
+
+    Doubled offsets ``2 i - (size - 1)`` are integers on every extent, so
+    ``target = ((2 i - (size - 1)) M^-T + size - 1) / 2`` is exact; where
+    ``size - 1`` is even it is the voxel-centred ``(i - c) M^-T + c``.
+    """
+    if size < 1:
+        raise ConfigError(f"grid/kernel extent must be positive, got {size}")
     d, n = group.dim, group.order
-    c = (size - 1) // 2
     grid = np.indices((size,) * d).reshape(d, -1).T  # (K, d) multi-indices
-    offsets = grid - c
+    doubled = 2 * grid - (size - 1)
     strides = np.array([size ** (d - 1 - k) for k in range(d)], dtype=np.int64)
 
     pi = np.empty((n, size ** d), dtype=np.int64)
     for g in range(n):
         m_inv = group.elements[int(group.inverse[g])].matrix
-        target = offsets @ m_inv.T + c  # rows are g^-1 applied to each offset
+        target = (doubled @ m_inv.T + size - 1) // 2  # g^-1 applied to each offset
         pi[g] = target @ strides
     sigma = group.cayley[group.inverse]  # sigma[g, j] = id(g^-1 * e_j)
 
@@ -376,39 +380,33 @@ def _check_spatial(group: FiniteGroup, arr: np.ndarray) -> tuple[int, int]:
     sizes = set(arr.shape[-d:])
     if len(sizes) != 1:
         raise ShapeError(f"spatial axes must be equal, got {arr.shape[-d:]}")
-    size = sizes.pop()
-    if size % 2 == 0:
-        raise ShapeError(f"spatial extent must be odd, got {size}")
-    return size, d
+    return sizes.pop(), d
 
 
 def transform_grid(group: FiniteGroup, g: int, arr) -> np.ndarray:
-    """Rotate/reflect a grid about its center: out(x) = in(g^-1 (x - c) + c).
+    """Rotate/reflect a grid about its centre: out(x) = in(g^-1 (x - c) + c).
 
     Leading axes (batch, channel) are carried along unchanged; the trailing
-    ``group.dim`` axes are the spatial ones.
+    ``group.dim`` axes are the spatial ones, of any equal extent.
     """
     a = _as_array(arr)
     size, d = _check_spatial(group, a)
-    cache = group.grid_cache(size)
     flat = a.reshape(a.shape[: a.ndim - d] + (size ** d,))
-    out = flat[..., cache.pi[g]]
-    return out.reshape(a.shape)
+    return flat[..., group.grid_cache(size).pi[g]].reshape(a.shape)
 
 
 def transform_group_feature(group: FiniteGroup, g: int, arr) -> np.ndarray:
-    """Act on a group feature map laid out as [..., |H|, spatial...]."""
+    """Act on a group feature map laid out as [..., |H|, spatial...]: the grid
+    moves as in :func:`transform_grid` and the group axis is gathered by
+    ``sigma[g]``."""
     a = _as_array(arr)
-    size, d = _check_spatial(group, a)
-    cache = group.grid_cache(size)
-    h_axis = a.ndim - d - 1
+    h_axis = a.ndim - group.dim - 1
     if h_axis < 0 or a.shape[h_axis] != group.order:
         raise ShapeError(
             f"expected a group axis of size {group.order} before the spatial axes"
         )
-    flat = a.reshape(a.shape[:h_axis] + (group.order, size ** d))
-    out = flat[..., cache.sigma[g][:, None], cache.pi[g][None, :]]
-    return out.reshape(a.shape)
+    sigma_g = group.cayley[group.inverse[g]]  # sigma[g], as in build_action_cache
+    return np.take(transform_grid(group, g, a), sigma_g, axis=h_axis)
 
 
 def stabilizer_of_grid(
@@ -422,15 +420,10 @@ def stabilizer_of_grid(
     reporting whether that set passed the closure check.
     """
     a = _as_array(grid).astype(np.float64, copy=False)
-    size, d = _check_spatial(group, a)
-    cache = group.grid_cache(size)
-    flat = a.reshape(-1, size ** d)
-    kept = []
-    for g in range(group.order):
-        err = np.max(np.abs(flat[:, cache.pi[g]] - flat))
-        if err <= tol:
-            kept.append(g)
-    stab = frozenset(kept)
+    stab = frozenset(
+        g for g in range(group.order)
+        if np.max(np.abs(transform_grid(group, g, a) - a)) <= tol
+    )
     _, was_closed = closure(group, stab)
     return stab, was_closed
 

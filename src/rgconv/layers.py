@@ -242,10 +242,6 @@ class SeparableRelaxedGConvLayer(_GroupLayer):
         Co, Ci, L = self.out_channels, self.in_channels, self.banks
         return [("psi_o", (L, Co, Ci, H), Ci * H), ("psi_t", (L, K), K)]
 
-    def full_kernels(self) -> np.ndarray:
-        """The rank-1 kernels materialized to ``[L, Co, Ci, |H|, S^d]``."""
-        return self.psi_o.data[..., None] * self.psi_t.data[:, None, None, None, :]
-
     def forward(self, x: Tensor) -> Tensor:
         self._check_feature(x)
         H, L, Co, Ci = self.group.order, self.banks, self.out_channels, self.in_channels

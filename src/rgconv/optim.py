@@ -34,7 +34,7 @@ class OptimizerState:
 def make_optimizer(kind: str, lr: float) -> OptimizerState:
     if kind not in ("sgd", "adam"):
         raise ConfigError(f"unknown optimizer kind {kind!r}")
-    if lr <= 0:
+    if not lr > 0:  # also refuses NaN
         raise ConfigError(f"learning rate must be positive, got {lr}")
     return OptimizerState(kind=kind, lr=lr)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, backward, loss, no_grad, tensor, zero_grads
+from .autodiff import backward, loss, no_grad, tensor, zero_grads
 from .errors import (
     ConfigError,
     ContractError,
@@ -31,6 +31,8 @@ from .errors import (
 from .groups import (
     CharacterTable,
     FiniteGroup,
+    _as_array,
+    _check_spatial,
     character_table,
     closure,
     stabilizer_of_grid,
@@ -78,21 +80,25 @@ class EquivarianceError:
         )
 
 
-def equivariance_error(model, group: FiniteGroup, x, description: str = "") -> EquivarianceError:
-    """Measure max |T_g^{-1} model(T_g x) - model(x)| for every g.
-
-    ``x`` is a single sample [C, spatial...]; spatial dims must be odd so the
-    grid transforms are centered. The identity row is exactly zero because it
-    reruns the identical computation.
-    """
-    a = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+def _sample(group: FiniteGroup, x) -> np.ndarray:
+    """``x`` as one f64 sample [C, spatial...] with equal spatial extents."""
+    a = _as_array(x).astype(np.float64, copy=False)
     if a.ndim != group.dim + 1:
         raise ShapeError(
             f"expected one sample [C] + {group.dim} spatial axes, got {a.shape}"
         )
-    if any(s % 2 == 0 for s in a.shape[1:]):
-        raise ConfigError(f"spatial dims must be odd for centered transforms: {a.shape}")
-    xb = a[None]
+    _check_spatial(group, a)
+    return a
+
+
+def equivariance_error(model, group: FiniteGroup, x, description: str = "") -> EquivarianceError:
+    """Measure max |T_g^{-1} model(T_g x) - model(x)| for every g.
+
+    ``x`` is a single sample [C, spatial...], turned about its grid centre
+    on input and output alike. The identity row is exactly zero because it
+    reruns the identical computation.
+    """
+    xb = _sample(group, x)[None]
     errs = np.zeros(group.order)
     with no_grad():
         base = model(tensor(xb)).data
@@ -354,21 +360,16 @@ def gradient_symmetry_check(
     """Check that gradient-equality classes of w match the stabilizer oracle.
 
     Preconditions: every relaxed weight vector is exactly constant (the
-    equivariant initialization), and x, y are odd-sized grids. The loss is
+    equivariant initialization), and x, y are single samples. The loss is
     MSE. For each relaxed weight vector the elements are clustered by
     gradient value at relative tolerance ``tol``; the class containing the
     identity must equal Stab(x) cap Stab(y) computed by the brute-force grid
     oracle, for every layer and bank, or SymmetryCheckFailed is raised.
     """
     group = group if group is not None else model.group
-    xa = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-    ya = np.asarray(y.data if isinstance(y, Tensor) else y, dtype=np.float64)
-    if xa.ndim != group.dim + 1 or ya.ndim != group.dim + 1:
-        raise ShapeError(
-            f"x and y must be [C] + {group.dim} spatial axes, got {xa.shape}, {ya.shape}"
-        )
-    if any(s % 2 == 0 for s in xa.shape[1:] + ya.shape[1:]):
-        raise ConfigError("x and y must have odd spatial dims")
+    if group is None:
+        raise ConfigError("gradient_symmetry_check needs a group model or a group")
+    xa, ya = _sample(group, x), _sample(group, y)
 
     relaxed = [
         (f"layer{i}_{type(ly).__name__}", ly)

@@ -239,7 +239,9 @@ def test_criterion_3_strict_reduction_and_separability(capsys):
         sep.init(rng)
         sep.w.data[...] = rng.uniform(0.5, 1.5, size=sep.w.shape)
         full = RelaxedGConvLayer(g, 2, 2, banks=2, relaxed=True)
-        full.kernels.data[...] = sep.full_kernels()
+        full.kernels.data[...] = (  # the rank-1 kernels, [L, Co, Ci, |H|, S^d]
+            sep.psi_o.data[..., None] * sep.psi_t.data[:, None, None, None, :]
+        )
         full.w.data[...] = sep.w.data
         a = sep(tensor(xg)).data
         b = full(tensor(xg)).data

@@ -365,6 +365,8 @@ def test_optimizer_errors():
         make_optimizer("rmsprop", lr=0.1)
     with pytest.raises(ConfigError):
         make_optimizer("sgd", lr=0.0)
+    with pytest.raises(ConfigError):
+        make_optimizer("adam", lr=float("nan"))
     p = parameter(np.zeros(3))
     opt = make_optimizer("adam", lr=0.1)
     with pytest.raises(ShapeError):

@@ -51,6 +51,18 @@ def test_gen_voxel_task_honors_size_and_delta(tmp_path):
     assert not np.array_equal(tensors["x"], tensors["y"])
 
 
+@pytest.mark.parametrize("task,size", [("square_to_square", 11),
+                                       ("cubic_to_orthorhombic", 9)])
+def test_gen_writes_the_discovery_pair(tmp_path, task, size):
+    out = os.path.join(str(tmp_path), "pair.rgt1")
+    assert cli(["gen", "--task", task, "--out", out, "--size", str(size),
+                "--delta", "0.6"]) == 0
+    tensors = read_rgt1(out)
+    x, y = rgconv.discovery_pair(
+        rgconv.ExperimentConfig(task=task, grid_size=size, delta=0.6))
+    assert np.array_equal(tensors["x"], x) and np.array_equal(tensors["y"], y)
+
+
 def test_gen_flow_writes_samples(tmp_path):
     out = os.path.join(str(tmp_path), "flow.rgt1")
     rc = cli(["gen", "--task", "flow_channel", "--out", out,

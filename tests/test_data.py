@@ -25,6 +25,7 @@ from rgconv import (
 from rgconv.data import Dataset
 
 C4 = build_group("cyclic_2d(4)")
+O24 = build_group("octahedral_24")
 O48 = build_group("octahedral_48")
 
 
@@ -312,8 +313,8 @@ def test_downsample_rejects_indivisible():
 def apply_signed_perm(mat, vol, d):
     """Independent centered action: permute axes, flip negated ones.
 
-    Works for any extent (index reversal is the centered flip for both
-    parities), unlike transform_grid which requires odd grids.
+    Works for any extent: index reversal is the flip about the grid centre
+    for both parities.
     """
     lead = vol.ndim - d
     perm = list(range(lead))
@@ -344,3 +345,22 @@ def test_downsample_commutes_with_octahedral_transforms():
         lhs = downsample_mean(apply_signed_perm(m, vol, 3), 4)
         rhs = apply_signed_perm(m, small, 3)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_signed_perm_action_matches_transform_grid_on_even_grids():
+    rng = np.random.default_rng(7)
+    vol = rng.normal(size=(2, 8, 8, 8))
+    for g in range(O48.order):
+        mine = apply_signed_perm(O48.elements[g].matrix, vol, 3)
+        assert np.array_equal(mine, transform_grid(O48, g, vol))
+
+
+def test_downsample_commutes_with_transform_grid():
+    # coarse centre 3.5 pairs with fine centre 15.5 = 4 * 3.5 + 1.5, the
+    # block mean's own pairing
+    rng = np.random.default_rng(8)
+    y = rng.normal(size=(3, 32, 32, 32))
+    small = downsample_mean(y, 4)
+    for g in range(O24.order):
+        lhs = downsample_mean(transform_grid(O24, g, y), 4)
+        assert np.max(np.abs(lhs - transform_grid(O24, g, small))) <= 1e-15

@@ -177,6 +177,49 @@ def test_transform_group_feature_homomorphism():
         assert np.array_equal(lhs, rhs)
 
 
+@pytest.mark.parametrize("size", [1, 3, 5, 11])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_odd_tables_equal_the_voxel_centred_formula(kind, size):
+    # the tables as built before every extent was allowed: offsets about the
+    # centre voxel c, rotated, shifted back
+    G = build_group(kind)
+    d, c = G.dim, (size - 1) // 2
+    offsets = np.indices((size,) * d).reshape(d, -1).T - c
+    strides = np.array([size ** (d - 1 - k) for k in range(d)], dtype=np.int64)
+    pi = np.stack([
+        (offsets @ G.elements[int(G.inverse[g])].matrix.T + c) @ strides
+        for g in range(G.order)
+    ])
+    sigma = G.cayley[G.inverse]
+    cache = build_action_cache(G, size)
+    want = (pi, sigma, np.argsort(pi, axis=1), np.argsort(sigma, axis=1))
+    got = (cache.pi, cache.sigma, cache.pi_inv, cache.sigma_inv)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind,size", [("cyclic_2d(4)", 4), ("cyclic_2d(4)", 8),
+                                       ("octahedral_24", 4), ("octahedral_24", 8),
+                                       ("octahedral_48", 4), ("octahedral_48", 8)])
+def test_transforms_are_homomorphisms_on_even_grids(kind, size):
+    G = build_group(kind)
+    rng = np.random.default_rng(size)
+    x = rng.normal(size=(2,) + (size,) * G.dim)
+    f = rng.normal(size=(2, G.order) + (size,) * G.dim)
+    assert np.array_equal(transform_grid(G, 0, x), x)
+    assert np.array_equal(transform_group_feature(G, 0, f), f)
+    for g in range(G.order):
+        for h in range(0, G.order, max(1, G.order // 6)):
+            gh = compose(G, g, h)
+            assert np.array_equal(
+                transform_grid(G, g, transform_grid(G, h, x)), transform_grid(G, gh, x)
+            )
+            assert np.array_equal(
+                transform_group_feature(G, g, transform_group_feature(G, h, f)),
+                transform_group_feature(G, gh, f),
+            )
+
+
 def test_stabilizer_of_rectangle_and_square():
     C4 = build_group("cyclic_2d(4)")
     rect = np.zeros((15, 15))
@@ -302,7 +345,7 @@ def test_build_errors():
     with pytest.raises(ConfigError):
         build_group("cyclic_2d(3)")
     with pytest.raises(ConfigError):
-        build_action_cache(build_group("cyclic_2d(4)"), 4)
+        build_action_cache(build_group("cyclic_2d(4)"), 0)
     with pytest.raises(IndexError):
         compose(build_group("cyclic_2d(4)"), 0, 7)
 

@@ -135,7 +135,9 @@ def test_separable_matches_full_kernel_outer_product():
     sep.w.data[...] = rng.normal(1.0, 0.3, size=sep.w.shape)
 
     full = RelaxedGConvLayer(C4, 2, 3, banks=2, kernel_size=3)
-    full.kernels.data[...] = sep.full_kernels()
+    full.kernels.data[...] = (  # the rank-1 kernels, [L, Co, Ci, |H|, S^d]
+        sep.psi_o.data[..., None] * sep.psi_t.data[:, None, None, None, :]
+    )
     full.w.data[...] = sep.w.data
 
     f = rng.normal(size=(2, 2, 4, 7, 7))

@@ -14,10 +14,13 @@ from rgconv import (
     build_group,
     build_superres_net,
     equivariance_error,
+    gen_flow_dataset,
     load_checkpoint,
     matched_conv_channels,
     param_count,
     save_checkpoint,
+    transform_grid,
+    transform_group_feature,
 )
 from rgconv import autodiff
 from rgconv.autodiff import Tensor, TapeNode, backward, sum_, tensor, zero_grads
@@ -50,6 +53,25 @@ def test_discovery_net_forward_shape_and_equivariance():
     out = net(tensor(x))
     assert out.shape == (1, 1, 9, 9, 9)
     err = equivariance_error(net, O24, x[0])
+    assert err.ok(1e-10), str(err)
+
+
+def test_flow_net_trunk_is_equivariant_on_the_data_grid():
+    # lifting plus residual blocks on an 8^3 flow sample, turned about the
+    # grid centre (3.5): regular output, and scalar after the group pool
+    net = build_superres_net("equiv", O24, channels=2, blocks=2).init(0)
+    trunk = Network(net.modules[:4], group=O24)
+    x, _ = gen_flow_dataset(0, 1, size=(32, 32, 32)).samples[0]
+    assert x.shape == (9, 8, 8, 8)
+    with autodiff.no_grad():
+        base = trunk(tensor(x[None])).data
+        worst = max(
+            float(np.max(np.abs(trunk(tensor(transform_grid(O24, g, x[None]))).data
+                                - transform_group_feature(O24, g, base))))
+            for g in range(O24.order)
+        )
+    assert worst < 1e-10, worst
+    err = equivariance_error(Network(net.modules[:4] + [GroupPool()], group=O24), O24, x)
     assert err.ok(1e-10), str(err)
 
 

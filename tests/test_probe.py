@@ -15,6 +15,7 @@ from rgconv import (
     ConfigError,
     ContractError,
     DataError,
+    Network,
     ShapeError,
     SymmetryCheckFailed,
     build_discovery_net,
@@ -31,6 +32,7 @@ from rgconv import (
     weight_report,
     write_report_csv,
 )
+from rgconv.layers import ConvLayer
 
 C4 = build_group("cyclic_2d(4)")
 O48 = build_group("octahedral_48")
@@ -94,10 +96,10 @@ def test_equivariance_error_str_and_validation():
     net = fresh_net(C4)
     err = equivariance_error(net, C4, np.zeros((1, 15, 15)), description="zeros")
     assert "zeros" in str(err) and "e" in str(err)
-    with pytest.raises(ConfigError):
-        equivariance_error(net, C4, np.zeros((1, 14, 14)))
     with pytest.raises(ShapeError):
         equivariance_error(net, C4, np.zeros((15, 15)))
+    with pytest.raises(ShapeError):
+        equivariance_error(net, C4, np.zeros((1, 15, 13)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +383,13 @@ def test_gradient_check_zero_tolerance_trips_failure():
     x, y = gen_shape2d("square_to_rectangle")
     with pytest.raises(SymmetryCheckFailed):
         gradient_symmetry_check(net, x, y, tol=0.0)
+
+
+def test_gradient_check_on_a_plain_conv_net_is_a_config_error():
+    net = Network([ConvLayer(2, 1, 1, 3)]).init(0)
+    x, y = gen_shape2d("square_to_rectangle", 9)
+    with pytest.raises(ConfigError, match="group"):
+        gradient_symmetry_check(net, x, y)
 
 
 def test_gradient_result_str():
