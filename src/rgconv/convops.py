@@ -39,23 +39,20 @@ on) and the input is read few times:
   for every odd S (Shi et al., CVPR 2016): the ``(h + 1)^d`` shifts of the
   input, ``h = (S - 1) / 2``, are stacked along K, and the stencil's taps
   are scattered into a ``[(h + 1)^d Ci, Co 2^d]`` kernel per group that
-  maps them to the ``2^d`` output phases. One loop runs over tiles of GEMM
-  rows (flat padded voxels of the batch) sized to the budget, and over
-  every group inside each tile: it copies the tile's shift windows and
-  runs the GEMM while they are in cache. The rows are laid out into the
-  output once, a voxel's two last-axis phases as one float pair, and the
-  backward lays ``g`` out once into the same rows and runs the two
-  transposed GEMMs per tile and group. The pooled form (``pool=True``, the
-  group mean of the ReLU of the output, for the super-resolution head)
-  takes the ReLU in place on each tile's rows and sums the groups into
-  one ``[B * P, Co 2^d]`` accumulator, so the ``|H|`` times larger
-  unpooled output is never stored. Its tape keeps only the ReLU masks, one
-  bit per pre-activation packed tile by tile with ``np.packbits``
-  (nothing under ``no_grad``), and its backward masks the pooled ``g``
-  rows per tile and group. A non-finite value is never dropped, but it
-  also meets the kernel's zero blocks (``0 * inf`` is NaN): a non-finite
-  ``x`` makes ``y`` non-finite, and a non-finite ``g`` both gradients, on
-  other entries than in a conv of the stuffed input.
+  maps them to the ``2^d`` output phases. One loop runs over tiles of whole
+  output planes (along the first spatial axis, from one or more batch
+  items) sized to the budget, and over every group inside each tile. A
+  tile pads only its own box of input planes and writes only its own box
+  of the output (a voxel's two last-axis phases as one float pair) or, in
+  the backward, lays out its box of ``g`` and folds its box of ``gx``,
+  halos included, into the unpadded ``gx``. The pooled form (``pool=True``,
+  the group mean of the ReLU of the output, for the super-resolution head)
+  sums the groups' ReLUs per tile, so the ``|H|`` times larger unpooled
+  output is never stored; its tape keeps one ReLU mask bit per
+  pre-activation (nothing under ``no_grad``). A non-finite value is never
+  dropped, but it also meets the kernel's zero blocks (``0 * inf`` is
+  NaN): a non-finite ``x`` makes ``y`` non-finite, and a non-finite ``g``
+  both gradients, on other entries than in a conv of the stuffed input.
 
 All but the tap chunks read flat windows: the padded input is flattened
 over its spatial axes (over each plane's, for the slabs), so the input at
@@ -68,6 +65,8 @@ gradient.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -90,16 +89,21 @@ __all__ = [
 def _pad_spatial(arr: np.ndarray, pads) -> np.ndarray:
     """Pad the trailing ``len(pads)`` axes circularly by their ``(low,
     high)`` pairs, each at most the axis extent."""
-    # the interior, then per axis the two halos as copies of its far ends,
-    # over the padded extent of the axes before it and the interior of those
-    # after it; cheaper than np.pad(mode="wrap") on small arrays
     lead, D = arr.shape[: arr.ndim - len(pads)], arr.shape[arr.ndim - len(pads) :]
     out = np.empty(lead + tuple(n + lo + hi for n, (lo, hi) in zip(D, pads)), arr.dtype)
+    out[(Ellipsis,) + tuple(slice(lo, lo + n) for n, (lo, _) in zip(D, pads))] = arr
+    return _wrap_halos(out, D, pads)
+
+
+def _wrap_halos(out: np.ndarray, D, pads) -> np.ndarray:
+    """Fill the halos of ``out``, padded by ``pads`` around an interior of
+    extents ``D`` on its trailing axes, from that interior, in place."""
+    # per axis the two halos as copies of its far ends, over the padded
+    # extent of the axes before it and the interior of those after it;
+    # cheaper than np.pad(mode="wrap") on small arrays
     inner = [slice(lo, lo + n) for n, (lo, _) in zip(D, pads)]
-    out[(Ellipsis,) + tuple(inner)] = arr
     for a, (n, (lo, hi)) in enumerate(zip(D, pads)):
-        before = (Ellipsis,) + (slice(None),) * a
-        after = tuple(inner[a + 1 :])
+        before, after = (Ellipsis,) + (slice(None),) * a, tuple(inner[a + 1 :])
         out[before + (slice(0, lo),) + after] = out[before + (slice(n, n + lo),) + after]
         out[before + (slice(lo + n, lo + n + hi),) + after] = out[
             before + (slice(lo, lo + hi),) + after
@@ -491,62 +495,122 @@ def _subpixel_kernel_grad(gw: np.ndarray, k_shape) -> np.ndarray:
     return gk.reshape(k_shape)
 
 
-class _Subpixel:
-    """Shared set-up of the sub-pixel forward and backward.
+_Tile = namedtuple("_Tile", "pieces planes m byte")
 
-    ``xf`` is ``x`` padded once, circularly, by ``lo = floor(h / 2)`` voxels
-    on the low and ``ceil(h / 2)`` on the high side of each axis (``(0, 1)``
-    at S = 3), and laid out ``[G, Ci, B * P]``: item ``b + 1`` starts ``P``
-    entries after item ``b``, so shift ``s`` of GEMM rows ``[r0, r1)`` (flat
-    padded voxels of the batch) is the flat window ``[off[s] + r0, off[s] +
-    r1)``. The ``m`` rows up to the last interior voxel are computed; the
-    junk ones (voxels past the edge) are dropped by ``_pair_rows``. ``w`` is
-    the ``_subpixel_kernel``. The rows run in tiles of ``tile`` rows, a
-    multiple of 8 (so a tile's mask bits start on a byte): the budget is
-    the rows whose stack (``K`` values a row) and two ``[rows, N]`` blocks
-    fit in ``CACHE_BYTES``, and the ``m`` rows split evenly into the whole
-    number of budgets nearest to them, so no short tail tile repeats the
-    per-group loop.
+
+def _plane_runs(start: int, count: int, n: int):
+    """``(i, z, run)``: box planes ``[i, i + run)`` are item planes ``[z, z +
+    run)``, box plane ``i`` being item plane ``(start + i) mod n``."""
+    i = 0
+    while i < count:
+        z = (start + i) % n
+        yield i, z, min(count - i, n - z)
+        i += min(count - i, n - z)
+
+
+class _Subpixel:
+    """Shared set-up of the sub-pixel forward and backward: ``w`` is the
+    ``_subpixel_kernel``, and ``plan`` holds a ``_Tile`` per tile of whole
+    output planes. Its ``pieces`` are ``(b, n, z0, z1, q)``: planes ``[z0,
+    z1)`` of items ``[b, b + n)``, whose box starts at plane ``q``; it
+    computes ``m`` GEMM rows, and a group's mask bits start at ``byte``.
+
+    A tile's box holds, per item, its ``z1 - z0`` planes and the ``h`` more
+    their windows reach, padded circularly by ``lo = floor(h / 2)`` voxels
+    low and ``ceil(h / 2)`` high on each axis (``(0, 1)`` at S = 3), end to
+    end: ``planes`` in all. A GEMM row is a voxel of the box, shift ``s`` of
+    rows ``[0, m)`` is the flat window ``[off[s], off[s] + m)``, and the
+    junk rows (voxels past the edge) are dropped by ``_pair_rows``. The
+    budget is the rows whose stack (``K`` values a row) and two ``[rows,
+    N]`` blocks fit in ``CACHE_BYTES``, times ``4 // G`` below 4 groups so
+    that a tile's own set-up (pad, layout, fold) stays a small share of its
+    GEMMs; the ``B D0`` planes split evenly into the whole number of
+    budgets nearest to them.
     """
 
     def __init__(self, x: np.ndarray, k: np.ndarray, groups: int):
         d, h = x.ndim - 2, (k.shape[2] - 1) // 2
-        self.lo = h // 2
-        xp = _pad_spatial(x.swapaxes(0, 1), [(self.lo, h - self.lo)] * d)
-        self.B, self.D, self.d, self.padded = x.shape[0], x.shape[2:], d, xp.shape[2:]
-        self.shifts = (h + 1,) * d
-        offsets, n = _flat_windows(self.padded, self.D, np.ndindex(*self.shifts))
-        self.P = int(np.prod(self.padded))
-        self.offsets, self.m = offsets, (self.B - 1) * self.P + n
+        self.B, self.D, self.d, self.h, self.lo = x.shape[0], x.shape[2:], d, h, h // 2
+        self.padded = tuple(n + h for n in self.D)
         self.Ci, self.Co = x.shape[1] // groups, k.shape[0] // groups
-        self.xf = xp.reshape(groups, self.Ci, -1)
+        self.x = np.moveaxis(x.reshape((self.B, groups, self.Ci) + self.D), 0, 2)
         self.w = _subpixel_kernel(k, groups)
+        self.shifts = (h + 1,) * d
+        self.offsets, n = _flat_windows(self.padded, self.D, np.ndindex(*self.shifts))
+        self.Pp = int(np.prod(self.padded[1:]))  # rows a padded plane
+        tail = n - (self.D[0] - 1) * self.Pp  # rows of an item's last plane
         K, N = self.w.shape[1:]
-        budget = CACHE_BYTES // ((K + 2 * N) * np.result_type(x, k).itemsize)
-        count = max(1, round(self.m / max(1, budget)))
-        self.tile = -(-self.m // (8 * count)) * 8
+        rows = CACHE_BYTES * max(1, 4 // groups) // ((K + 2 * N) * np.result_type(x, k).itemsize)
+        total, D0 = self.B * self.D[0], self.D[0]
+        per = -(-total // max(1, round(total * self.Pp / max(self.Pp, rows))))
+        self.plan, byte = [], 0
+        for f0 in range(0, total, per):
+            f1, pieces, q = min(total, f0 + per), [], 0
+            b, z0 = divmod(f0, D0)
+            while b * D0 + z0 < f1:  # part of an item, or a run of whole ones
+                n = max(1, (f1 - b * D0) // D0) if z0 == 0 else 1
+                z1 = min(D0, f1 - b * D0)
+                pieces.append((b, n, z0, z1, q))
+                b, z0, q = b + n, 0, q + n * (z1 - z0 + h)
+            self.plan.append(_Tile(pieces, q, (q - h - 1) * self.Pp + tail, byte))
+            byte -= -self.plan[-1].m * N // 8
+        self.mask_bytes, self.rows = byte, max(t.planes for t in self.plan) * self.Pp
+
+    def items(self, a: np.ndarray, piece, ax: int = 2) -> np.ndarray:
+        """A piece's planes of a box (on axis 2) or of rows viewed as planes
+        (axis 0), split into ``(item, plane)``."""
+        _, n, z0, z1, q = piece
+        a = a[(slice(None),) * ax + (slice(q, q + n * (z1 - z0 + self.h)),)]
+        return a.reshape(a.shape[:ax] + (n, -1) + a.shape[ax + 1 :])
 
     def tiles(self, dtype):
-        """Yield ``(rows, g, stack)`` for each tile of GEMM rows (a slice of
-        ``[0, m)``) and, inside it, each group: the ``(h + 1)^d`` windows of
-        group ``g`` over those rows stacked along K, ``[K, len(rows)]`` with
-        rows ``(shift, ci)``. ``stack`` is one buffer, reused."""
+        """Yield ``(tile, g, stack, box)`` for each tile and, inside it, each
+        group: the ``(h + 1)^d`` windows of group ``g`` stacked along K,
+        ``[K, m]`` with rows ``(shift, ci)``, and the box ``[G, Ci, planes,
+        *padded[1:]]``, whose part ``g`` is free once its stack is yielded.
+        ``stack`` and ``box`` are one buffer each, reused."""
         G, K, _ = self.w.shape
-        buf = np.empty(self.shifts + (self.Ci, self.tile), dtype=dtype)
+        Ci, h, lo, D = self.Ci, self.h, self.lo, self.D
+        inner = tuple(slice(lo, lo + n) for n in D[1:])
+        xbuf = np.empty(G * Ci * self.rows, dtype)
+        sbuf = np.empty(K * max(t.m for t in self.plan), dtype)
         # shift s starts s . strides(padded) entries in, so all windows of a
-        # tile are one strided view of the padded input, copied at once
-        steps = np.cumprod((1,) + self.padded[:0:-1])[::-1] * self.xf.itemsize
-        for r0 in range(0, self.m, self.tile):
-            rows = slice(r0, min(self.m, r0 + self.tile))
-            stack = buf[..., : rows.stop - r0]
-            src = self.xf[:, :, r0:]
+        # tile are one strided view of its box, copied at once
+        steps = tuple(np.cumprod((1,) + self.padded[:0:-1])[::-1] * xbuf.itemsize)
+        for t in self.plan:
+            box = xbuf[: G * Ci * t.planes * self.Pp].reshape((G, Ci, t.planes) + self.padded[1:])
+            for p in t.pieces:
+                dst, src = self.items(box, p), self.x[:, :, p[0] : p[0] + p[1]]
+                for i, z, run in _plane_runs(p[2] - lo, p[3] - p[2] + h, D[0]):
+                    dst[(Ellipsis, slice(i, i + run)) + inner] = src[:, :, :, z : z + run]
+            _wrap_halos(box, D[1:], [(lo, h - lo)] * (self.d - 1))
+            flat = box.reshape(G, Ci, -1)
             wins = np.lib.stride_tricks.as_strided(
-                src, (G,) + stack.shape, src.strides[:1] + tuple(steps) + src.strides[1:],
-                writeable=False,
+                flat, (G,) + self.shifts + (Ci, t.m),
+                flat.strides[:1] + steps + flat.strides[1:], writeable=False,
             )
+            stack = sbuf[: K * t.m].reshape(self.shifts + (Ci, t.m))
             for g in range(G):
                 stack[...] = wins[g]
-                yield rows, g, stack.reshape(K, -1)
+                yield t, g, stack.reshape(K, t.m), box
+
+    def fold(self, box: np.ndarray, t: _Tile, gx: np.ndarray) -> None:
+        """Add a tile's box of input gradient into ``gx`` ``[B, G, Ci, *D]``,
+        each halo onto the voxel it wraps to."""
+        lo, h, D, v, gx = self.lo, self.h, self.D, box, np.moveaxis(gx, 0, 2)
+        for a, n in enumerate(D[1:], 1):
+            ax = (slice(None),) * (2 + a)
+            v[ax + (slice(n, n + lo),)] += v[ax + (slice(0, lo),)]
+            v[ax + (slice(lo, self.padded[a] - n),)] += v[ax + (slice(lo + n, None),)]
+            v = v[ax + (slice(lo, lo + n),)]
+        for p in t.pieces:
+            (b, n, z0, z1, _), src = p, self.items(v, p)
+            # box planes [c0, c1) are item planes no other tile reaches: copied
+            c0, c1 = (h, z1 - z0) if z1 - z0 > h else (0, 0)
+            gx[:, :, b : b + n, z0 - lo + c0 : z0 - lo + c1] = src[:, :, :, c0:c1]
+            for i0, i1 in ((0, c0), (c1, z1 - z0 + h)):
+                for i, z, run in _plane_runs(z0 - lo + i0, i1 - i0, D[0]):
+                    gx[:, :, b : b + n, z : z + run] += src[:, :, :, i0 + i : i0 + i + run]
 
 
 def _pair(dtype) -> np.dtype:
@@ -554,16 +618,14 @@ def _pair(dtype) -> np.dtype:
     return np.dtype(f"c{2 * np.dtype(dtype).itemsize}")
 
 
-def _pair_rows(sp: _Subpixel, r: np.ndarray) -> np.ndarray:
-    """GEMM rows ``[n, B * P, (co, phase)]`` (``n`` groups, or one pooled
-    block) viewed as float pairs (the two last-axis phases of a voxel sit
-    side by side), junk rows cut, in the order ``[B, n, Co, D0, 2, ...,
-    D_{d-1}]`` of ``_pair_blocks``."""
-    d = sp.d
-    order = [d + 1, 0, 1] + sum(([d + 2 + a, 2 + a] for a in range(d - 1)), []) + [2 * d + 1]
-    rp = r.view(_pair(r.dtype)).reshape(r.shape[:2] + (sp.Co,) + (2,) * (d - 1))
-    vol = np.moveaxis(rp, 1, -1).reshape(rp.shape[:1] + rp.shape[2:] + (sp.B, sp.P))
-    return _interior(vol, sp.padded, sp.D).transpose(order)
+def _pair_rows(sp: _Subpixel, r: np.ndarray, piece) -> np.ndarray:
+    """A piece's planes of a tile's GEMM rows ``[rows, (co, phase)]`` as
+    float pairs (a voxel's two last-axis phases side by side), junk cut, in
+    the order ``[n, Co, z1 - z0, 2, D1, 2, ..., D_{d-1}]`` of ``_pair_blocks``."""
+    d, (_, _, z0, z1, _) = sp.d, piece
+    rp = r.view(_pair(r.dtype)).reshape((-1,) + sp.padded[1:] + (sp.Co,) + (2,) * (d - 1))
+    rp = sp.items(rp, piece, 0)[(slice(None), slice(z1 - z0)) + tuple(map(slice, sp.D[1:]))]
+    return rp.transpose([0, d + 1] + sum(([1 + a, d + 2 + a] for a in range(d - 1)), []) + [d])
 
 
 def _pair_blocks(sp: _Subpixel, a: np.ndarray) -> np.ndarray:
@@ -579,30 +641,31 @@ def _stuffed_fwd(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``y`` as ``[B, G Co, *2D]``, or with ``pool`` the group mean of
     ``relu(y)`` as ``[B, Co, *2D]``; with ``keep_masks`` also each group's
-    ReLU mask over its GEMM rows ``[m, N]``, packed flat to bits."""
+    ReLU mask over each tile's GEMM rows ``[m, N]``, packed to bits."""
     sp = _Subpixel(x, k, groups)
-    w, m = sp.w, sp.m
+    w = sp.w
     G, _, N = w.shape
-    # each group's GEMM rows, [G, B * P, (co, phase)], or with pool the sum
-    # of their ReLUs, [1, B * P, (co, phase)]
-    acc = (np.zeros if pool else np.empty)(
-        (1 if pool else G, sp.B * sp.P, N), dtype=np.result_type(x, k)
+    out = np.empty(
+        (sp.B, (1 if pool else G) * sp.Co) + tuple(2 * n for n in sp.D), np.result_type(x, k)
     )
-    masks = np.empty((G, -(-m * N // 8)), dtype=np.uint8) if keep_masks else None
-    r = np.empty((sp.tile, N), dtype=acc.dtype)
-    for rows, g, stack in sp.tiles(x.dtype):
+    blocks = _pair_blocks(sp, out)
+    masks = np.empty((G, sp.mask_bytes), dtype=np.uint8) if keep_masks else None
+    # a group's GEMM rows; with pool the first group's take the ReLUs' sum
+    r = np.empty((sp.rows, N), out.dtype)
+    acc = np.empty_like(r) if pool else r
+    for t, g, stack, _ in sp.tiles(x.dtype):
+        if g == 0:  # each piece's view of the rows, in the order of y's box
+            views = [(p, _pair_rows(sp, acc, p)) for p in t.pieces]
+        rt = np.matmul(stack.T, w[g], out=(acc if g == 0 else r)[: t.m])
         if pool:
-            rt = np.matmul(stack.T, w[g], out=r[: rows.stop - rows.start])
             np.maximum(rt, 0, out=rt)  # NaN stays NaN
             if keep_masks:
-                masks[g, rows.start * N // 8 : -(-rows.stop * N // 8)] = np.packbits(rt > 0)
-            acc[0, rows] += rt
-        else:
-            np.matmul(stack.T, w[g], out=acc[g, rows])
-    out = np.empty(
-        (sp.B, len(acc) * sp.Co) + tuple(2 * n for n in sp.D), dtype=acc.dtype
-    )
-    _pair_blocks(sp, out)[...] = _pair_rows(sp, acc)
+                masks[g, t.byte : t.byte - (-t.m * N // 8)] = np.packbits(rt > 0)
+            if g:
+                acc[: t.m] += rt
+        if not pool or g == G - 1:  # the tile's box of y
+            for (b, n, z0, z1, _), view in views:
+                blocks[b : b + n, 0 if pool else g, :, z0:z1] = view
     if pool:
         out /= G
     return out, masks
@@ -615,45 +678,47 @@ def _stuffed_bwd(
     """Gradients of ``_stuffed_fwd``; ``masks`` given means the pooled form,
     with ``g`` of shape ``[B, Co, *2D]``."""
     sp = _Subpixel(x, k, groups)
-    w, B, D = sp.w, sp.B, sp.D
+    w = sp.w
     G, K, N = w.shape
-    # g goes once into the forward's GEMM rows, zero on the junk rows; the
-    # pooled g is divided by |H|, as the mean's gradient is, and each group
-    # masks it with its ReLU tile by tile
     blocks = _pair_blocks(sp, np.ascontiguousarray(g))
-    rows = np.zeros((blocks.shape[1], B * sp.P, N), dtype=g.dtype)
-    _pair_rows(sp, rows)[...] = blocks
-    if masks is not None:
-        rows /= G
-        gm = np.empty((sp.tile, N), dtype=g.dtype)
+    # each tile lays its box of g out in the forward's rows, zero on the junk
+    # rows: the pooled g once a tile, divided by |H| as the mean's gradient
+    # is and masked per group with its ReLU, the unpooled g per group
+    rows = np.empty((sp.rows, N), dtype=g.dtype)
+    rplanes = rows.reshape((-1,) + sp.padded[1:] + (N,))  # the rows as padded planes
+    gm = np.empty_like(rows) if masks is not None else None
     gw = np.zeros(w.shape, dtype=np.result_type(g, x))
     gwt = np.empty((K, N), dtype=gw.dtype)
-    if want_gx:
-        gxp = np.zeros(sp.xf.shape, dtype=np.result_type(g, k))
-    for rs, gi, stack in sp.tiles(np.result_type(x, k, g)):
-        n = rs.stop - rs.start
+    gx = np.zeros((sp.B, G, sp.Ci) + sp.D, dtype=np.result_type(g, k)) if want_gx else None
+    for t, gi, stack, box in sp.tiles(np.result_type(x, k, g)):
+        m = t.m
+        if gi == 0:  # the junk rows: past each plane's edge, and the halo planes
+            for a, n in enumerate(sp.D[1:], 1):
+                rplanes[(slice(None),) * a + (slice(n, None),)] = 0
+            for p in t.pieces:
+                sp.items(rplanes, p, 0)[:, p[3] - p[2] :] = 0
+            views = [(p, _pair_rows(sp, rows, p)) for p in t.pieces]
+        if gi == 0 or masks is None:
+            for (b, n, z0, z1, _), view in views:
+                view[...] = blocks[b : b + n, gi if masks is None else 0, :, z0:z1]
         if masks is None:
-            gt = rows[gi, rs]
+            gt = rows[:m]
         else:
-            bits = masks[gi, rs.start * N // 8 :]
-            mask = np.unpackbits(bits, count=n * N).view(bool).reshape(n, N)
-            gt = np.multiply(rows[0, rs], mask, out=gm[:n])
+            if gi == 0:
+                rows[:m] /= G
+            mask = np.unpackbits(masks[gi, t.byte :], count=m * N).view(bool).reshape(m, N)
+            gt = np.multiply(rows[:m], mask, out=gm[:m])
         gw[gi] += np.matmul(stack, gt, out=gwt)
         if want_gx:
-            gst = np.matmul(w[gi], gt.T, out=stack).reshape(len(sp.offsets), sp.Ci, n)
-            for j, off in enumerate(sp.offsets):
-                gxp[gi, :, off + rs.start : off + rs.stop] += gst[j]
-    gk = _subpixel_kernel_grad(gw, k.shape)
-    if not want_gx:
-        return None, gk
-    # fold the wrapped halos back onto the voxels they copy
-    v, lo = gxp.reshape((G, sp.Ci, B) + sp.padded), sp.lo
-    for a, n in enumerate(D):
-        ax = (slice(None),) * (3 + a)
-        v[ax + (slice(n, n + lo),)] += v[ax + (slice(0, lo),)]
-        v[ax + (slice(lo, sp.padded[a] - n),)] += v[ax + (slice(lo + n, None),)]
-        v = v[ax + (slice(lo, lo + n),)]
-    return np.moveaxis(v, 2, 0).reshape(x.shape), gk
+            # the group's part of the box, free now, takes its gx
+            gst = np.matmul(w[gi], gt.T, out=stack).reshape(len(sp.offsets), sp.Ci, m)
+            gb = box[gi].reshape(sp.Ci, -1)
+            gb[:, :m], gb[:, m:] = gst[0], 0  # shift 0 is offset 0
+            for j, off in enumerate(sp.offsets[1:], 1):
+                gb[:, off : off + m] += gst[j]
+            if gi == G - 1:
+                sp.fold(box, t, gx)
+    return (None if gx is None else gx.reshape(x.shape)), _subpixel_kernel_grad(gw, k.shape)
 
 
 def stuffed_conv_nd(
@@ -665,14 +730,12 @@ def stuffed_conv_nd(
     Sub-pixel GEMMs write all ``2^d`` output phases, through a kernel that
     holds each tap in one block and zeros elsewhere: in 3D at S = 3, 64
     blocks per input voxel, 27 of them taps, against the 8 x 27 of a conv
-    of the stuffed input. They run per tile of rows sized to
-    ``CACHE_BYTES``, every group per tile, so beyond the padded input, the
-    output's (or ``g``'s) rows and the ``gx`` accumulator, the forward and
-    backward hold a few tile-sized buffers. The module docstring gives
-    where non-finite values land.
-
-    With ``pool=True`` the result is the mean over the ``groups`` of the
-    ReLU of that output, ``[B, C_out, *2D]``, summed tile by tile.
+    of the stuffed input. They run per tile of whole planes sized to
+    ``CACHE_BYTES``, every group per tile, so beyond ``y`` (or ``gx``) the
+    forward and backward hold only tile-sized buffers. With ``pool=True``
+    the result is the mean over the ``groups`` of the ReLU of that output,
+    ``[B, C_out, *2D]``. The module docstring gives where non-finite values
+    land.
     """
     _check_conv_args(
         x.shape[:2] + tuple(2 * n for n in x.shape[2:]), kernel.shape, groups

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, ContractError, ShapeError
+from .errors import ConfigError, ConsistencyError, ContractError, DataError, ShapeError
 
 __all__ = [
     "GroupElement",
@@ -417,9 +417,14 @@ def stabilizer_of_grid(
     Channels transform as scalars: every leading axis is compared pointwise
     after the spatial permutation. Returns the set of element ids whose action
     leaves the grid fixed to within ``tol`` (max abs deviation), plus a flag
-    reporting whether that set passed the closure check.
+    reporting whether that set passed the closure check. A NaN or infinite
+    entry raises :class:`DataError` naming the first one.
     """
     a = _as_array(grid).astype(np.float64, copy=False)
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        at = tuple(int(i) for i in bad[0])
+        raise DataError(f"grid has a non-finite entry {a[at]} at index {at}")
     stab = frozenset(
         g for g in range(group.order)
         if np.max(np.abs(transform_grid(group, g, a) - a)) <= tol

@@ -492,13 +492,16 @@ def test_stuffed_conv_gradients_match_composition():
 @pytest.mark.parametrize("xshape,kshape,groups", [
     ((2, 6, 5, 7), (9, 2, 3, 3), 3),  # odd C_out in 2D: 12 mask bits a row
     ((1, 4, 5, 4, 5), (4, 2, 3, 3, 3), 2),
-    ((2, 4, 3, 4, 3), (4, 2, 5, 5, 5), 2),
+    ((2, 4, 5, 4, 3), (4, 2, 5, 5, 5), 2),
     ((2, 3, 5, 6), (2, 3, 3, 3), 1),  # the form of ConvTransposeLayer
+    ((2, 4, 4, 6, 4), (4, 2, 3, 3, 3), 2),  # even extents
+    ((2, 4, 4, 6), (4, 2, 5, 5), 2),
+    ((3, 4, 5, 4, 6), (4, 2, 3, 3, 3), 2),  # tiles split and span items
 ])
 def test_stuffed_conv_row_tiles_match_composition(monkeypatch, xshape, kshape, groups, pool, dtype):
-    # under a CACHE_BYTES (given at f64) of a few rows the GEMM rows run in
-    # at least 3 tiles, the last one ragged; y, gx and gk must match the
-    # composition with the zero-stuffed input, computed in one tile
+    # with CACHE_BYTES cut to the fewest tiles, from 3, of which the last
+    # is ragged (fewer output planes than the first), y, gx and gk must
+    # match the composition with the zero-stuffed input, computed in one piece
     rng = np.random.default_rng(19)
     x = parameter(rng.normal(size=xshape).astype(dtype))
     k = parameter(rng.normal(size=kshape).astype(dtype))
@@ -510,16 +513,33 @@ def test_stuffed_conv_row_tiles_match_composition(monkeypatch, xshape, kshape, g
         y = conv_nd(zero_stuff(a), b, groups=groups)
         return mean_(relu(reshape(y, (B, G, Co) + up)), axes=(1,)) if pool else y
 
+    def plan(count):
+        # CACHE_BYTES for a budget of 1 / count of the batch's rows (a tile
+        # takes 4 // groups budgets at fewer than 4 groups)
+        sp = convops._Subpixel(x.data, k.data, groups)
+        K, N = sp.w.shape[1:]
+        rows = -(-B * xshape[2] * sp.Pp // count)
+        cache = rows * (K + 2 * N) * sp.w.itemsize // max(1, 4 // groups)
+        monkeypatch.setattr(convops, "CACHE_BYTES", cache)
+        return convops._Subpixel(x.data, k.data, groups).plan
+
+    def planes(tile):
+        return sum(n * (z1 - z0) for _, n, z0, z1, _ in tile.pieces)
+
+    tiles = next(t for c in range(3, 9) if planes((t := plan(c))[-1]) < planes(t[0]))
+    assert len(tiles) >= 3
+    if B == 3:
+        assert any(z1 - z0 < xshape[2] for t in tiles for _, _, z0, z1, _ in t.pieces)
+        assert any(sum(n for _, n, _, _, _ in t.pieces) > 1 for t in tiles)
+    if Co % 2 and len(xshape) == 4:  # some tile's mask bits end inside a byte
+        assert any(t.m * Co * 4 % 8 for t in tiles)
     results = []
-    for op, cache in ((stuffed_conv_nd, 2860), (composed, None)):
-        with monkeypatch.context() as patch:
-            if cache:
-                patch.setattr(convops, "CACHE_BYTES", cache * np.dtype(dtype).itemsize // 8)
-                sp = convops._Subpixel(x.data, k.data, groups)
-                assert sp.m > 2 * sp.tile and sp.m % sp.tile
-            zero_grads([x, k])
-            y = op(x, k, groups=groups, **({"pool": pool} if cache else {}))
-            backward(sum_(mul(y, w)), params=[x, k])
+    for op in (stuffed_conv_nd, composed):
+        if op is composed:
+            monkeypatch.undo()
+        zero_grads([x, k])
+        y = op(x, k, groups=groups, **({} if op is composed else {"pool": pool}))
+        backward(sum_(mul(y, w)), params=[x, k])
         results.append((y.data, x.grad.copy(), k.grad.copy()))
     atol = 1e-4 if dtype == np.float32 else 1e-12
     for got, want in zip(*results):
@@ -527,29 +547,54 @@ def test_stuffed_conv_row_tiles_match_composition(monkeypatch, xshape, kshape, g
         assert np.allclose(got, want, atol=atol)
 
 
+def traced_peak(fn):
+    """``fn()`` and the ``tracemalloc`` peak it reaches above what is held
+    when it starts."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
 def test_pooled_stuffed_backward_workspace():
     # the pooled O24 head at the super-resolution bench shape, f32: beyond
-    # what is held when it starts, its backward holds the re-padded x, the
-    # gx accumulator and the pooled g in GEMM rows, plus tile-sized buffers
+    # what is held when it starts, its backward holds gx and tile-sized
+    # buffers (the tile's padded box, g rows, stack), no batch-long layout
     rng = np.random.default_rng(20)
     B, G, Ci, Co, n = 4, 24, 4, 4, 16
     x = parameter(rng.normal(size=(B, G * Ci, n, n, n)).astype(np.float32))
     k = parameter(rng.normal(size=(G * Co, Ci, 3, 3, 3)).astype(np.float32))
     y = stuffed_conv_nd(x, k, groups=G, pool=True)
     g = rng.normal(size=y.shape).astype(np.float32)
-    tracemalloc.start()
     try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        gx, gk = y.node.pull(g)
-        peak = tracemalloc.get_traced_memory()[1] - held
+        (gx, gk), peak = traced_peak(lambda: y.node.pull(g))
     finally:
-        tracemalloc.stop()
         y.node.tape.release()
-    padded = x.data.nbytes * (n + 1) ** 3 // n**3  # the halo of S = 3: one voxel high
-    rows = B * (n + 1) ** 3 * Co * 8 * 4
     assert gx.shape == x.shape and gk.shape == k.shape
-    assert peak < 2 * padded + rows + 2 * convops.CACHE_BYTES
+    assert peak < x.data.nbytes + 3 * convops.CACHE_BYTES
+
+
+@pytest.mark.parametrize("pool,direction", [(True, "fwd"), (False, "fwd"), (False, "bwd")])
+def test_stuffed_workspace(pool, direction):
+    # the bench shapes, f32: the pooled head [4, 96, 16^3] and the first
+    # upsampling stage [4, 96, 8^3], 24 groups; beyond its result (y and the
+    # masks, or gx) a call holds only tile-sized buffers
+    rng = np.random.default_rng(21)
+    B, G, Ci, Co, n = 4, 24, 4, 4, 16 if pool else 8
+    x = rng.normal(size=(B, G * Ci, n, n, n)).astype(np.float32)
+    k = rng.normal(size=(G * Co, Ci, 3, 3, 3)).astype(np.float32)
+    if direction == "fwd":
+        (y, masks), peak = traced_peak(lambda: convops._stuffed_fwd(x, k, G, pool, pool))
+        result = y.nbytes + (masks.nbytes if pool else 0)
+    else:
+        g = rng.normal(size=(B, G * Co, 2 * n, 2 * n, 2 * n)).astype(np.float32)
+        (gx, _), peak = traced_peak(lambda: convops._stuffed_bwd(g, x, k, G, True))
+        result = gx.nbytes
+    assert peak < result + 3 * convops.CACHE_BYTES
 
 
 @pytest.mark.parametrize("route", ["conv", "depthwise", "stuffed"])

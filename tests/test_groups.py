@@ -10,6 +10,7 @@ import pytest
 
 from rgconv import (
     ConfigError,
+    DataError,
     act_on_offset,
     build_action_cache,
     build_group,
@@ -265,6 +266,18 @@ def test_stabilizer_tolerance_boundary():
     assert stab == frozenset(range(4))
     stab, _ = stabilizer_of_grid(C4, img, tol=1e-12)
     assert stab != frozenset(range(4))
+
+
+@pytest.mark.parametrize("kind,shape,at,bad", [
+    ("cyclic_2d(4)", (9, 9), (3, 5), np.nan),
+    ("octahedral_24", (2, 5, 5, 5), (1, 0, 4, 2), -np.inf),
+])
+def test_stabilizer_of_non_finite_grid_is_a_data_error(kind, shape, at, bad):
+    grid = np.ones(shape)
+    grid[at] = bad
+    grid[-1, -1] = np.nan  # a later entry; the first one is named
+    with pytest.raises(DataError, match=rf"{bad} at index \({', '.join(map(str, at))}\)"):
+        stabilizer_of_grid(build_group(kind), grid)
 
 
 def test_closure():

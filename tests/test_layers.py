@@ -280,32 +280,48 @@ def _pooled_and_composed(G, S, dtype, f, C_out=2):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("S", [3, 5])
 @pytest.mark.parametrize("B", [1, 3])
-@pytest.mark.parametrize("G,spatial,C_out,budget", [
-    pytest.param(C4, (5, 6), 2, None, id="G0-spatial0"),
-    pytest.param(O24, (5, 4, 5), 2, None, id="G1-spatial1"),
-    # the fused head under a CACHE_BYTES (given at f64) of 3 to 9 rows, so
-    # its rows run in at least 3 tiles of 8, the last one ragged. With an
-    # odd C_out in 2D a row holds 12 mask bits, so a tile of the C4 case's
-    # odd budgets (9 and 7 rows) would start its bits off a byte boundary
-    pytest.param(C4, (5, 7), 3, 2860, id="C4-odd-C_out-row-tiles"),
-    pytest.param(O24, (3, 4, 3), 2, 2860, id="O24-row-tiles"),
+@pytest.mark.parametrize("G,spatial,C_out,tiled", [
+    pytest.param(C4, (5, 6), 2, False, id="G0-spatial0"),
+    pytest.param(O24, (5, 4, 5), 2, False, id="G1-spatial1"),
+    # the fused head under a CACHE_BYTES cut to the fewest tiles, from 3,
+    # of which the last is ragged (fewer output planes than the first).
+    # With an odd C_out in 2D a row holds 12 mask bits, so some tile's bits
+    # end off a byte boundary
+    pytest.param(C4, (5, 7), 3, True, id="C4-odd-C_out-row-tiles"),
+    pytest.param(O24, (5, 4, 3), 2, True, id="O24-row-tiles"),
 ])
-def test_pooled_upsample_matches_composition(monkeypatch, G, spatial, C_out, budget, B, S, dtype):
+def test_pooled_upsample_matches_composition(monkeypatch, G, spatial, C_out, tiled, B, S, dtype):
     rng = np.random.default_rng(30)
     f = rng.normal(size=(B, 3, G.order) + spatial).astype(dtype)
     r = tensor(rng.normal(size=(B, C_out) + tuple(2 * n for n in spatial)).astype(dtype))
+    k = np.zeros((G.order * C_out, 3) + (S,) * len(spatial), dtype)
+
+    def plan(count):
+        # CACHE_BYTES for a budget of 1 / count of the batch's rows (a tile
+        # takes 4 // |H| budgets at fewer than 4 elements)
+        sp = convops._Subpixel(f.reshape(B, -1, *spatial), k, G.order)
+        K, N = sp.w.shape[1:]
+        rows = -(-B * spatial[0] * sp.Pp // count)
+        cache = rows * (K + 2 * N) * k.itemsize // max(1, 4 // G.order)
+        monkeypatch.setattr(convops, "CACHE_BYTES", cache)
+        return convops._Subpixel(f.reshape(B, -1, *spatial), k, G.order).plan
+
+    def planes(tile):
+        return sum(n * (z1 - z0) for _, n, z0, z1, _ in tile.pieces)
+
     results = []
-    for (layer, head), cache in zip(_pooled_and_composed(G, S, dtype, f, C_out), (budget, None)):
-        with monkeypatch.context() as patch:
-            if cache:
-                patch.setattr(convops, "CACHE_BYTES", cache * np.dtype(dtype).itemsize // 8)
-                k = np.zeros((G.order * C_out, 3) + (S,) * len(spatial), dtype)
-                sp = convops._Subpixel(f.reshape(B, -1, *spatial), k, G.order)
-                assert sp.m > 2 * sp.tile and sp.m % sp.tile
-            x = Tensor(f.copy(), requires_grad=True)
-            zero_grads([x, layer.kernel])
-            y = head(layer(x))
-            backward(sum_(mul(y, r)), params=[x, layer.kernel])
+    for (layer, head), fused in zip(_pooled_and_composed(G, S, dtype, f, C_out), (True, False)):
+        if tiled and fused:
+            tiles = next(t for c in range(3, 9) if planes((t := plan(c))[-1]) < planes(t[0]))
+            assert len(tiles) >= 3
+            if C_out % 2 and len(spatial) == 2:
+                assert any(t.m * C_out * 4 % 8 for t in tiles)
+        else:
+            monkeypatch.undo()
+        x = Tensor(f.copy(), requires_grad=True)
+        zero_grads([x, layer.kernel])
+        y = head(layer(x))
+        backward(sum_(mul(y, r)), params=[x, layer.kernel])
         results.append((y.data, x.grad, layer.kernel.grad))
     rtol = 1e-12 if dtype == np.float64 else 1e-5
     for got, want in zip(*results):
