@@ -34,7 +34,6 @@ from .groups import (
     inverse,
     stabilizer_of_grid,
     transform_grid,
-    transform_group_feature,
 )
 from .layers import (
     ConvLayer,

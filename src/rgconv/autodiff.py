@@ -13,7 +13,17 @@ gradient, and never holds an interior ``Tensor``; a ``pull`` closure keeps
 the arrays and shapes its gradient rule uses and nothing else. So an op's
 input array lives on only if the op's pull reads it (a conv's input, a
 product's factors), and ``backward`` drops each node's parents and pull as
-soon as that node has pulled, or is passed over for want of a gradient.
+soon as that node has pulled, or is passed over for want of a gradient. A
+pull runs once, so it may also drop an array at its last read, before the
+rest of its work (``conv_nd`` frees its kernel once the input gradient is
+out).
+
+A pull owns its incoming ``g`` when ``g`` is writeable, and may then write
+the gradient it returns into it (``relu`` masks in place). ``backward``
+hands on a read-only view of any gradient whose memory another output of
+the same pull shares, such as the one ``g`` that an ``add`` passes to both
+inputs or to a leaf's ``.grad`` as well; a pull's view of a read-only ``g``
+stays read-only, and ``mean`` pulls a read-only broadcast view.
 
 Broadcasting in arithmetic ops follows numpy for scalars, missing leading
 axes, and size-1 axes; anything else should be made explicit with ``reshape``
@@ -22,6 +32,7 @@ before the op.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -302,6 +313,8 @@ def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)
 
     def pull(g):
+        if g.flags.writeable:  # this pull owns g (see ``backward``)
+            return (np.multiply(g, out > 0, out=g),)
         return (g * (out > 0),)
 
     return record("relu", out, (a,), pull)
@@ -451,15 +464,24 @@ def backward(out: Tensor, params: Iterable[Tensor] | None = None) -> None:
             for node in reversed(tape.nodes[: out.node.idx + 1]):
                 g = table.pop(node.idx, None)
                 if g is not None:
-                    for ref, pg in zip(node.parents, node.pull(g)):
+                    grads = node.pull(g)
+                    # an array that two inputs, or an input and a leaf's .grad,
+                    # receive (an add's g) is owned by neither
+                    shared = len(grads) > 1 and any(
+                        np.may_share_memory(a, b) for a, b in combinations(grads, 2))
+                    for ref, pg in zip(node.parents, grads):
                         if pg is None or ref is None:
                             continue
                         if type(ref) is TapeNode:
+                            if shared and pg.flags.writeable:
+                                pg = pg.view()
+                                pg.flags.writeable = False
                             idx = ref.idx
                             table[idx] = table[idx] + pg if idx in table else pg
                         else:
                             pg = pg.astype(ref.dtype, copy=False)
                             ref.grad = pg if ref.grad is None else ref.grad + pg
+                    grads = pg = None  # free what was summed or not sent before the next pull
                 node.parents = ()
                 node.pull = None
         finally:

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: gen, train, analyze, check-equiv, check-grad, superres.
-Exit codes: 0 success, 1 usage or configuration error, 2 data or file format
-error, 3 check failure or diverged training.
+Exit codes: 0 success, 1 usage or configuration error, 2 data, file format or
+filesystem error, 3 check failure or diverged training.
 """
 
 from __future__ import annotations
@@ -260,8 +260,7 @@ def cli(argv=None) -> int:
     except (ConfigError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (Rgt1Error, DataError, ShapeError, FileNotFoundError,
-            json.JSONDecodeError) as e:
+    except (Rgt1Error, DataError, ShapeError, OSError, json.JSONDecodeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (SymmetryCheckFailed, TrainingDiverged) as e:

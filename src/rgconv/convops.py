@@ -13,10 +13,12 @@ on) and the input is read few times:
 
 - dense and grouped convs with ``T C_out <= C_in`` (a head that maps many
   channels to few, as the pooled discovery head) take *output-side taps*:
-  one GEMM ``[T C_out, C_in] @ x_padded`` over the flat padded input, read
-  once, then the ``T`` outputs' flat windows are summed. The kernel
-  gradient is one GEMM of the padded input against ``T`` shifted copies of
-  the padded ``g``;
+  one GEMM ``[T C_out, C_in] @ x`` over the unpadded input, read once, pads
+  only its ``T C_out`` product rows (the few-channel side), and sums the
+  ``T`` outputs' flat windows of them. The kernel gradient,
+  ``gk[co, ci, o] = sum_u x[ci, u] g[co, u - o]``, is one GEMM of the
+  unpadded input against the ``T`` circular shifts of ``g``, cut from the
+  padded ``g``;
 - the other dense convs group the ``T`` kernel offsets (taps) in chunks of
   ``c = min(T, max(1, C_out // C_in))``. Where a chunk covers all ``T``
   taps (the lifting convs) or its GEMM is deep (``K = C_in c >= 32``, the
@@ -54,14 +56,14 @@ on) and the input is read few times:
   NaN): a non-finite ``x`` makes ``y`` non-finite, and a non-finite ``g``
   both gradients, on other entries than in a conv of the stuffed input.
 
-All but the tap chunks read flat windows: the padded input is flattened
-over its spatial axes (over each plane's, for the slabs), so the input at
-offset ``o`` from every output voxel is one contiguous slice, read in place
-(depthwise, output-side taps) or copied once into the stack (slabs,
-sub-pixel). Its junk columns (voxels past the edge) are dropped when the
-output is written, and meet zeros in the kernel gradients. A conv whose
-input is data (no tape node and no ``requires_grad``) pulls no input
-gradient.
+All but the tap chunks read flat windows: the padded input (the padded
+product rows, for the output-side taps) is flattened over its spatial axes
+(over each plane's, for the slabs), so the value at offset ``o`` from every
+output voxel is one contiguous slice, read in place (depthwise, output-side
+taps) or copied once into the stack (slabs, sub-pixel). Its junk columns
+(voxels past the edge) are dropped when the output is written, and meet
+zeros in the kernel gradients. A conv whose input is data (no tape node
+and no ``requires_grad``) pulls no input gradient.
 """
 
 from __future__ import annotations
@@ -325,13 +327,15 @@ def _flat_padded(x: np.ndarray, S, groups: int):
 
 def _out_taps_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
     """A conv with ``T Co <= Ci`` (a head that maps many channels to few):
-    one GEMM ``[T Co, Ci] @ x_padded`` over the flat padded input, read
-    once, then the ``T`` outputs' flat windows summed."""
-    B, D, G = x.shape[0], x.shape[2:], groups
+    one GEMM ``[T Co, Ci] @ x`` over the unpadded input, read once, then
+    the ``T Co`` rows, padded, summed over the ``T`` outputs' flat
+    windows."""
+    B, D, G, S = x.shape[0], x.shape[2:], groups, k.shape[2:]
     Co, Ci = k.shape[0] // G, k.shape[1]
-    xf, padded, offsets, n = _flat_padded(x, k.shape[2:], G)
     kt = k.reshape(G, Co, Ci, -1).transpose(0, 3, 1, 2).reshape(G, -1, Ci)
-    y = np.matmul(kt, xf).reshape(B, G, len(offsets), Co, -1)
+    y = np.matmul(kt, x.reshape(B, G, Ci, -1)).reshape((B, -1) + D)
+    y, padded, offsets, n = _flat_padded(y, S, G)
+    y = y.reshape(B, G, len(offsets), Co, -1)
     out = np.empty((B, G, Co, y.shape[-1]), dtype=y.dtype)
     acc = out[..., :n]
     acc[...] = y[:, :, 0, :, offsets[0] : offsets[0] + n]
@@ -341,19 +345,19 @@ def _out_taps_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
 
 
 def _out_taps_bwd_kernel(g: np.ndarray, x: np.ndarray, k_shape, groups: int) -> np.ndarray:
-    """The kernel gradient of ``_out_taps_fwd``: one GEMM of the ``T``
-    shifted copies of ``g``, in the flat padded layout with zero junk
-    columns, against the padded input."""
-    B, D, G = x.shape[0], x.shape[2:], groups
+    """The kernel gradient of ``_out_taps_fwd``,
+    ``gk[co, ci, o] = sum_u x[ci, u] g[co, u - o]``: one GEMM of the ``T``
+    circular shifts of ``g``, cut from the padded ``g``, against the
+    unpadded input."""
+    B, D, G, S = x.shape[0], x.shape[2:], groups, k_shape[2:]
     Co, Ci = k_shape[0] // G, k_shape[1]
-    xf, padded, offsets, n = _flat_padded(x, k_shape[2:], G)
-    P, T = xf.shape[-1], len(offsets)
-    gp = np.zeros((B, G, Co, P), dtype=g.dtype)
-    _interior(gp, padded, D)[...] = g.reshape((B, G, Co) + D)
-    gs = np.zeros((B, G, T, Co, P), dtype=g.dtype)
-    for t, off in enumerate(offsets):
-        gs[:, :, t, :, off : off + n] = gp[..., :n]
-    gk = np.matmul(gs.reshape(B, G, T * Co, P), xf.swapaxes(-1, -2))
+    gp, T = _padded(g, S, G), int(np.prod(S))
+    gs = np.empty((B, G, T, Co) + D, dtype=g.dtype)
+    for t, o in enumerate(np.ndindex(*S)):
+        # tap o reads g[u - o + h], which the padded g holds at u + S - 1 - o
+        box = tuple(slice(s - 1 - a, s - 1 - a + n) for a, s, n in zip(o, S, D))
+        gs[:, :, t] = gp[(Ellipsis,) + box]
+    gk = np.matmul(gs.reshape(B, G, T * Co, -1), x.reshape(B, G, Ci, -1).swapaxes(-1, -2))
     gk = gk.sum(axis=0).reshape(G, T, Co, Ci).transpose(0, 2, 3, 1)
     return np.ascontiguousarray(gk).reshape(k_shape)
 
@@ -436,13 +440,13 @@ def conv_nd(x: Tensor, kernel: Tensor, groups: int = 1) -> Tensor:
     """
     _check_conv_args(x.shape, kernel.shape, groups)
     xd, kd = x.data, kernel.data
-    want_gx = _wants_grad(x)
+    k_shape, want_gx = kd.shape, _wants_grad(x)
 
     def pull(g):
-        gx = None
-        if want_gx:
-            gx = _conv_fwd(g, _swap_flip_kernel(kd, groups), groups)
-        return gx, _conv_bwd_kernel(g, xd, kd.shape, groups)
+        nonlocal kd  # pulls run once: free a transformed kernel before gk is made
+        gx = _conv_fwd(g, _swap_flip_kernel(kd, groups), groups) if want_gx else None
+        kd = None
+        return gx, _conv_bwd_kernel(g, xd, k_shape, groups)
 
     return record("conv_nd", _conv_fwd(xd, kd, groups), (x, kernel), pull)
 

@@ -39,7 +39,6 @@ __all__ = [
     "act_on_offset",
     "build_action_cache",
     "transform_grid",
-    "transform_group_feature",
     "stabilizer_of_grid",
     "closure",
     "character_table",
@@ -393,20 +392,6 @@ def transform_grid(group: FiniteGroup, g: int, arr) -> np.ndarray:
     size, d = _check_spatial(group, a)
     flat = a.reshape(a.shape[: a.ndim - d] + (size ** d,))
     return flat[..., group.grid_cache(size).pi[g]].reshape(a.shape)
-
-
-def transform_group_feature(group: FiniteGroup, g: int, arr) -> np.ndarray:
-    """Act on a group feature map laid out as [..., |H|, spatial...]: the grid
-    moves as in :func:`transform_grid` and the group axis is gathered by
-    ``sigma[g]``."""
-    a = _as_array(arr)
-    h_axis = a.ndim - group.dim - 1
-    if h_axis < 0 or a.shape[h_axis] != group.order:
-        raise ShapeError(
-            f"expected a group axis of size {group.order} before the spatial axes"
-        )
-    sigma_g = group.cayley[group.inverse[g]]  # sigma[g], as in build_action_cache
-    return np.take(transform_grid(group, g, a), sigma_g, axis=h_axis)
 
 
 def stabilizer_of_grid(

@@ -245,6 +245,11 @@ def _fit(config: ExperimentConfig, model: Network, train_set, val_set, test_set,
 def train(config: ExperimentConfig) -> tuple[Network, TrainStats]:
     """Run one experiment end to end; returns the trained model and stats."""
     config.validate()
+    if config.out_dir:  # fail before training, not in save_checkpoint after it
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"out_dir {config.out_dir!r} is not a usable directory: {e}") from e
     model = build_model(config).init(config.seed)
     if config.task in SUPERRES_TASKS:
         data = load_flow_dataset(config)

@@ -102,6 +102,27 @@ def test_relu_passes_nan_through(dtype):
     assert np.array_equal(x.grad[1:], [0.0, 0.0, 1.0])
 
 
+def test_relu_pull_never_writes_a_gradient_read_elsewhere():
+    # a ReLU may mask its incoming g in place only where nothing else reads
+    # it. The residual add hands one g to both inputs, the add of a leaf
+    # makes the same g that leaf's .grad, and mean pulls a read-only view:
+    # none of them is written
+    rng = np.random.default_rng(5)
+    x = parameter(rng.normal(size=(3, 4)))
+    b = parameter(rng.normal(size=(3, 4)))
+    w = rng.normal(size=(3, 4))
+    h = mul(x, tensor(2.0))
+    y = add(relu(h), h)  # relu(h) pulls while h's slot holds the same g
+    z = add(b, relu(y))  # relu(y) pulls the array that became b.grad
+    backward(sum_(mul(z, tensor(w))), params=[x, b])
+    assert np.array_equal(b.grad, w)
+    gy = w * (y.data > 0)
+    assert np.array_equal(x.grad, (gy + gy * (h.data > 0)) * 2.0)
+    zero_grads([x])
+    backward(mean_(relu(x)), params=[x])
+    assert np.array_equal(x.grad, (x.data > 0) / x.size)
+
+
 def test_broadcasting_and_unbroadcast_grads():
     a = parameter(np.ones((3, 4)))
     b = parameter(np.array(2.0))  # scalar broadcast

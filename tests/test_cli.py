@@ -78,6 +78,36 @@ def test_train_missing_config_is_data_error(tmp_path):
     assert cli(["train", "--config", os.path.join(str(tmp_path), "no.json")]) == 2
 
 
+@pytest.mark.parametrize("case", ["train-config-is-a-dir", "gen-out-is-a-dir",
+                                  "analyze-out-is-a-file"])
+def test_filesystem_error_is_one_line_data_error(tmp_path, capsys, case):
+    run = os.path.join(str(tmp_path), "run")
+    taken = write_cfg(tmp_path, name="taken.json")
+    if case == "analyze-out-is-a-file":
+        p = write_cfg(tmp_path, task="square_to_rectangle", epochs=0, out_dir=run)
+        assert cli(["train", "--config", p]) == 0
+        capsys.readouterr()
+    argv = {
+        "train-config-is-a-dir": ["train", "--config", str(tmp_path)],
+        "gen-out-is-a-dir": ["gen", "--task", "square_to_rectangle", "--out", str(tmp_path)],
+        "analyze-out-is-a-file": ["analyze", "--checkpoint", run, "--out", taken],
+    }[case]
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+def test_train_out_dir_naming_a_file_fails_before_training(tmp_path, capsys, monkeypatch):
+    import rgconv.training as training
+
+    monkeypatch.setattr(training, "_fit", lambda *a: pytest.fail("trained"))
+    taken = write_cfg(tmp_path, name="taken.json")
+    p = write_cfg(tmp_path, task="square_to_rectangle", epochs=5, out_dir=taken)
+    assert cli(["train", "--config", p]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out_dir ") and err.count("\n") == 1
+
+
 def test_train_malformed_json_is_usage_error(tmp_path):
     p = os.path.join(str(tmp_path), "bad.json")
     open(p, "w").write("{broken")

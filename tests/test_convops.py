@@ -597,6 +597,78 @@ def test_stuffed_workspace(pool, direction):
     assert peak < result + 3 * convops.CACHE_BYTES
 
 
+def test_conv_pull_frees_its_kernel_before_the_kernel_gradient():
+    # the O48 hidden layer, f64: its [192, 192, 3^3] transformed kernel is a
+    # tape intermediate that only the conv's node holds, as in
+    # RelaxedGConvLayer, traced from its making. Once gx is out the pull
+    # drops it, so the kernel gradient pass (gk, the padded input, a window
+    # and gx: 14.7 MiB) runs in its room; the gx pass (9.1 MiB) is the peak
+    rng = np.random.default_rng(23)
+    x = parameter(rng.normal(size=(1, 192, 11, 11, 11)))
+    k = parameter(rng.normal(size=(192, 192, 3, 3, 3)))
+    g = rng.normal(size=x.shape)
+    tracemalloc.start()
+    try:
+        y = conv_nd(x, mul(k, tensor(1.0)))
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gx, gk = y.node.pull(g)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    y.node.tape.release()
+    assert gx.shape == x.shape and gk.shape == k.shape
+    assert peak < k.data.nbytes + 2 * x.data.nbytes
+
+
+# (spatial, groups, C_in, C_out, S) per group, with T C_out well below C_in
+OUT_TAP_CASES = [((6, 7), 2, 96, 2, 3), ((3, 4, 5), 2, 60, 1, 3)]
+
+
+def kernel_grad_ref(g, x, k_shape, groups):
+    """``gk[co, ci, o] = sum_{b, v} g[b, co, v] x[b, ci, v + o]``, circular,
+    per group, from rolled copies of ``x``; the oracle of a kernel gradient."""
+    Co, Ci, S = k_shape[0] // groups, k_shape[1], k_shape[2:]
+    axes = tuple(range(2, x.ndim))
+    gk = np.zeros(k_shape)
+    for off in np.ndindex(*S):
+        xs = np.roll(x, [(s - 1) // 2 - o for o, s in zip(off, S)], axis=axes)
+        for gi in range(groups):
+            gg, xg = g[:, gi * Co : (gi + 1) * Co], xs[:, gi * Ci : (gi + 1) * Ci]
+            gk[(slice(gi * Co, (gi + 1) * Co), slice(None)) + off] = np.einsum(
+                "bov,biv->oi", gg.reshape(len(g), Co, -1), xg.reshape(len(x), Ci, -1))
+    return gk
+
+
+@pytest.mark.parametrize("D,G,Ci,Co,S", OUT_TAP_CASES, ids=["2d", "3d"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_output_taps_match_reference_within_few_channel_workspace(D, G, Ci, Co, S, dtype):
+    # the GEMM reads x unpadded and only the T Co product rows (or the Co
+    # channels of g) are padded: beyond its result, the forward holds the
+    # product rows unpadded and padded and the padded output, and the kernel
+    # gradient the padded g, its T shifts and the batched GEMM's product and
+    # its batch sum; a padded copy of the C_in input channels fits neither
+    rng = np.random.default_rng(24)
+    B, T = 2, S ** len(D)
+    x = rng.normal(size=(B, G * Ci) + D).astype(dtype)
+    k = rng.normal(size=(G * Co, Ci) + (S,) * len(D)).astype(dtype)
+    g = rng.normal(size=(B, G * Co) + D).astype(dtype)
+    assert _dense_route(k.shape, G) == "outputs"
+    y, fwd_peak = traced_peak(lambda: convops._out_taps_fwd(x, k, G))
+    gk, bwd_peak = traced_peak(lambda: convops._out_taps_bwd_kernel(g, x, k.shape, G))
+    assert y.shape == g.shape and gk.shape == k.shape and y.dtype == gk.dtype == dtype
+    tol = dict(rtol=1e-4, atol=1e-4) if dtype == np.float32 else dict(atol=1e-12)
+    for gi in range(G):
+        ref = conv_ref(x[:, gi * Ci : (gi + 1) * Ci], k[gi * Co : (gi + 1) * Co])
+        assert np.allclose(y[:, gi * Co : (gi + 1) * Co], ref, **tol)
+    assert np.allclose(gk, kernel_grad_ref(g, x, k.shape, G), **tol)
+    V, P = np.prod(D), np.prod([n + S - 1 for n in D])
+    rows = B * G * x.itemsize  # bytes of one value per item and group
+    slack = 16 << 10  # index tables and array headers
+    assert fwd_peak < y.nbytes + k.nbytes + (T * Co * (V + P) + Co * P) * rows + slack
+    assert bwd_peak < (Co * P + T * Co * V) * rows + (B + 1) * gk.nbytes + slack
+
+
 @pytest.mark.parametrize("route", ["conv", "depthwise", "stuffed"])
 def test_constant_input_gets_no_gradient(route):
     # the input of a net is data: its conv node pulls no input gradient,

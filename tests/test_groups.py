@@ -20,8 +20,9 @@ from rgconv import (
     inverse,
     stabilizer_of_grid,
     transform_grid,
-    transform_group_feature,
 )
+
+from group_features import transform_group_feature
 
 ALL_KINDS = ["cyclic_2d(2)", "cyclic_2d(4)", "octahedral_24", "octahedral_48"]
 

@@ -17,7 +17,7 @@ from rgconv.autodiff import (
 from rgconv import convops
 from rgconv.convops import conv_transpose_nd
 from rgconv.errors import ConfigError, ShapeError
-from rgconv.groups import build_group, transform_grid, transform_group_feature
+from rgconv.groups import build_group, transform_grid
 from rgconv.layers import (
     ConvLayer,
     ConvTransposeLayer,
@@ -27,6 +27,8 @@ from rgconv.layers import (
     SeparableRelaxedGConvLayer,
     group_pool,
 )
+
+from group_features import transform_group_feature
 
 C4 = build_group("cyclic_2d(4)")
 O24 = build_group("octahedral_24")

@@ -20,7 +20,6 @@ from rgconv import (
     param_count,
     save_checkpoint,
     transform_grid,
-    transform_group_feature,
 )
 from rgconv import autodiff
 from rgconv.autodiff import Tensor, TapeNode, backward, sum_, tensor, zero_grads
@@ -32,6 +31,8 @@ from rgconv.layers import (
     RelaxedGConvLayer,
     SeparableRelaxedGConvLayer,
 )
+
+from group_features import transform_group_feature
 
 C4 = build_group("cyclic_2d(4)")
 O24 = build_group("octahedral_24")
@@ -191,19 +192,22 @@ def test_raising_forward_releases_its_tape():
         assert np.array_equal(a, b)
 
 
+def small_net(kind, rng):
+    """A net of ``kind`` (a superres layer kind, or ``discovery_c4``) and an
+    input for it."""
+    if kind == "discovery_c4":
+        return build_discovery_net(C4, channels=2).init(0), rng.normal(size=(1, 1, 7, 7))
+    net = build_superres_net(kind, group=None if kind == "conv" else O24,
+                             channels=2, blocks=1, banks=1).init(0)
+    return net, rng.normal(size=(1, 9, 3, 3, 3))
+
+
 @pytest.mark.parametrize("kind", ["conv", "equiv", "relaxed_equiv", "discovery_c4"])
 def test_tape_holds_no_interior_tensor(kind):
     # the tape keeps a node per interior input and the arrays its pulls
     # read; a pull that closes over a Tensor would keep that Tensor's array
     # alive until backward ends
-    rng = np.random.default_rng(11)
-    if kind == "discovery_c4":
-        net = build_discovery_net(C4, channels=2).init(0)
-        x = rng.normal(size=(1, 1, 7, 7))
-    else:
-        net = build_superres_net(kind, group=None if kind == "conv" else O24,
-                                 channels=2, blocks=1, banks=1).init(0)
-        x = rng.normal(size=(1, 9, 3, 3, 3))
+    net, x = small_net(kind, np.random.default_rng(11))
     out = sum_(net(tensor(x)))
     params = net.params()
     nodes = out.node.tape.nodes
@@ -216,6 +220,33 @@ def test_tape_holds_no_interior_tensor(kind):
         for cell in node.pull.__closure__ or ():
             assert not isinstance(cell.cell_contents, Tensor), node.op
     backward(out, params=params)
+
+
+@pytest.mark.parametrize("kind", ["conv", "relaxed_equiv", "discovery_c4"])
+def test_owned_gradients_are_bitwise_those_of_copying_pulls(kind):
+    # backward lets a pull that owns its g (a ReLU's) write it in place;
+    # handing every pull a read-only g instead, so that all of them copy,
+    # gives the same gradients bit for bit
+    rng = np.random.default_rng(12)
+    net, x = small_net(kind, rng)
+    params, grads, owned = net.params(), [], []
+    for copying in (False, True):
+        out = sum_(net(tensor(x)))
+        for node in out.node.tape.nodes:
+            def pull(g, real=node.pull, op=node.op):
+                if copying:
+                    g = g.view()
+                    g.flags.writeable = False
+                owned.append((copying, op, g.flags.writeable))
+                return real(g)
+
+            node.pull = pull
+        zero_grads(params)
+        backward(out, params=params)
+        grads.append([p.grad.copy() for p in params])
+    assert (False, "relu", True) in owned and not any(c and w for c, _, w in owned)
+    for a, b in zip(*grads):
+        assert np.array_equal(a, b)
 
 
 def test_init_seed_changes_weights():
