@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -177,6 +176,8 @@ def _cmd_check_grad(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if config.task not in DISCOVERY_TASKS:
         raise ConfigError("check-grad runs on discovery task configs")
+    # the audit's tolerances are f64 ones, whatever precision trains
+    config = dataclasses.replace(config, precision="f64")
     model = build_model(config).init(config.seed)
     x, y = discovery_pair(config)
     dtype = np.float64
@@ -260,7 +261,7 @@ def cli(argv=None) -> int:
     except (ConfigError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (Rgt1Error, DataError, ShapeError, OSError, json.JSONDecodeError) as e:
+    except (Rgt1Error, DataError, ShapeError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (SymmetryCheckFailed, TrainingDiverged) as e:

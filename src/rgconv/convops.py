@@ -6,37 +6,35 @@ with 2 or 3 trailing spatial axes. Kernels are centered and odd-sized, and
 offsets ``o`` in ``[-(S-1)/2, (S-1)/2]^d``. Padding is circular (periodic
 wrap) only.
 
-Inner loops, chosen by kernel shape alone (``_dense_route``). Each loop's
-tile is sized from the shapes so that its working set stays within
-``CACHE_BYTES`` (1 MiB, half the per-core L2 of the machine they were tuned
-on) and the input is read few times:
+Three loops run ``conv_nd``, chosen by kernel shape alone (``_dense_route``;
+``T`` kernel offsets, or taps, and ``C_in``, ``C_out`` per group), and one
+runs ``stuffed_conv_nd``. Each loop's tile is sized from the shapes so
+that its working set stays within ``CACHE_BYTES`` (1 MiB, half the per-core
+L2 of the machine they were tuned on) and the input is read few times:
 
-- dense and grouped convs with ``T C_out <= C_in`` (a head that maps many
-  channels to few, as the pooled discovery head) take *output-side taps*:
-  one GEMM ``[T C_out, C_in] @ x`` over the unpadded input, read once, pads
-  only its ``T C_out`` product rows (the few-channel side), and sums the
-  ``T`` outputs' flat windows of them. The kernel gradient,
+- *output-side taps* where ``T C_out <= C_in`` (a head that maps many
+  channels to few: the pooled discovery heads): one GEMM
+  ``[T C_out, C_in] @ x`` over the unpadded input, read once, pads only its
+  ``T C_out`` product rows (the few-channel side), and sums the ``T``
+  outputs' flat windows of them. The kernel gradient,
   ``gk[co, ci, o] = sum_u x[ci, u] g[co, u - o]``, is one GEMM of the
   unpadded input against the ``T`` circular shifts of ``g``, cut from the
   padded ``g``;
-- the other dense convs group the ``T`` kernel offsets (taps) in chunks of
-  ``c = min(T, max(1, C_out // C_in))``. Where a chunk covers all ``T``
-  taps (the lifting convs) or its GEMM is deep (``K = C_in c >= 32``, the
-  group nets' hidden layers), they run one batched matmul per chunk: the
-  chunk's input windows are copied into one stack with rows ``(ci, tap)``,
-  which from two taps on never holds more values than the output, and meet
-  the matching ``[C_out, C_in c]`` slice of the kernel; at ``c = 1`` it is
-  one window per tap. The kernel gradient runs the same chunks, and at
-  ``c = 1`` each tap writes its block in place into a tap-major buffer;
-- every shallower dense conv (the plain-conv baseline's ``K = 4`` and 9)
-  takes *all-tap plane slabs*: per tile of batch items and whole output
-  planes (along the first spatial axis), as many as fit in the budget, all
-  ``T`` windows are copied into one stack and meet the whole
-  ``[C_out, C_in T]`` kernel in one GEMM (Chellapilla et al., 2006). The
-  kernel gradient runs the same tiles and sums them;
-- depthwise convs (one input and one output channel per group, as in the
-  separable layer's spatial stage) run a broadcast multiply-add per offset,
-  over blocks of channel rows sized to the budget;
+- *tap chunks* in two forms. Where ``T C_in <= C_out`` (the O48 and C4
+  lifting convs, and the pooled heads' input gradient), all ``T`` input
+  windows are copied into one stack with rows ``(ci, tap)``, no larger than
+  the output, and meet the ``[C_out, C_in T]`` kernel in one GEMM. Else,
+  where one tap's GEMM is deep (``C_in >= 32``: the group nets' hidden
+  layers), each tap's window is copied in turn and meets its
+  ``[C_out, C_in]`` slice. The kernel gradient runs the same chunks, each
+  writing its block in place into a chunk-major buffer;
+- *all-tap plane slabs* for every other conv (the separable layer's
+  depthwise stage, the O24 lifting conv and the super-resolution heads, and
+  every conv of the plain-conv baseline): per tile of batch items and whole
+  output planes (along the first spatial axis), as many as fit in the
+  budget, all ``T`` windows are copied into one stack and meet the whole
+  contiguous ``[C_out, C_in T]`` kernel in one GEMM (Chellapilla et al.,
+  2006). The kernel gradient runs the same tiles and sums them;
 - ``stuffed_conv_nd`` (the stride-2 transposed conv) runs sub-pixel GEMMs
   for every odd S (Shi et al., CVPR 2016): the ``(h + 1)^d`` shifts of the
   input, ``h = (S - 1) / 2``, are stacked along K, and the stencil's taps
@@ -59,8 +57,8 @@ on) and the input is read few times:
 All but the tap chunks read flat windows: the padded input (the padded
 product rows, for the output-side taps) is flattened over its spatial axes
 (over each plane's, for the slabs), so the value at offset ``o`` from every
-output voxel is one contiguous slice, read in place (depthwise, output-side
-taps) or copied once into the stack (slabs, sub-pixel). Its junk columns
+output voxel is one contiguous slice, read in place (output-side taps) or
+copied once into the stack (slabs, sub-pixel). Its junk columns
 (voxels past the edge) are dropped when the output is written, and meet
 zeros in the kernel gradients. A conv whose input is data (no tape node
 and no ``requires_grad``) pulls no input gradient.
@@ -158,81 +156,21 @@ def _check_conv_args(x_shape, k_shape, groups: int) -> tuple:
     return d, S
 
 
-def _is_depthwise(k_shape, groups: int) -> bool:
-    return k_shape[0] == groups and k_shape[1] == 1
-
-
-def _depthwise_windows(x: np.ndarray, S):
-    """``x`` padded and laid out channel-major as ``[G, B * P]``, with the
-    flat tap offsets and the window length. Item ``b + 1`` starts ``P``
-    entries after item ``b``, so one window per tap covers the whole batch.
-    """
-    xp = _pad_spatial(x.swapaxes(0, 1), [((s - 1) // 2,) * 2 for s in S])
-    padded = xp.shape[2:]
-    offsets, n = _flat_windows(padded, x.shape[2:], np.ndindex(*S))
-    n += (x.shape[0] - 1) * int(np.prod(padded))
-    return xp.reshape(x.shape[1], -1), padded, offsets, n
-
-
-def _row_blocks(rows: int, row_bytes: int):
-    """Slices of at most ``CACHE_BYTES // row_bytes`` rows (at least one),
-    where ``row_bytes`` is what one row adds to the loop's working set."""
-    r = max(1, CACHE_BYTES // row_bytes)
-    return [slice(r0, min(rows, r0 + r)) for r0 in range(0, rows, r)]
-
-
-def _depthwise_fwd(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # one stencil per channel: a broadcast multiply-add per tap, over blocks
-    # of channel rows that stay in cache across the taps
-    B, G, D = x.shape[0], x.shape[1], x.shape[2:]
-    xf, padded, offsets, n = _depthwise_windows(x, k.shape[2:])
-    taps = k.reshape(G, -1)
-    out = np.empty(xf.shape, dtype=np.result_type(x, k))
-    # working set: the block's input, output and product rows
-    blocks = _row_blocks(G, 3 * xf.shape[1] * out.itemsize)
-    tmp = np.empty((blocks[0].stop, n), dtype=out.dtype)
-    for rows in blocks:
-        acc, tb = out[rows, :n], tmp[: rows.stop - rows.start]
-        for t, off in enumerate(offsets):
-            np.multiply(xf[rows, off : off + n], taps[rows, t, None], out=acc if t == 0 else tb)
-            if t:
-                acc += tb
-    out = _interior(out.reshape((G, B, -1)), padded, D)
-    return np.ascontiguousarray(out.swapaxes(0, 1))
-
-
-def _depthwise_bwd_kernel(g: np.ndarray, x: np.ndarray, k_shape) -> np.ndarray:
-    B, G = x.shape[:2]
-    xf, padded, offsets, n = _depthwise_windows(x, k_shape[2:])
-    # g in the same layout, zero on the junk columns
-    gp = np.zeros(xf.shape, dtype=g.dtype)
-    _interior(gp.reshape((G, B, -1)), padded, x.shape[2:])[...] = g.swapaxes(0, 1)
-    gp = gp[:, :n]
-    gk = np.empty((G, len(offsets)), dtype=np.result_type(g, x))
-    for rows in _row_blocks(G, 2 * xf.shape[1] * xf.itemsize):  # x and g rows
-        for t, off in enumerate(offsets):
-            gk[rows, t] = np.einsum("gn,gn->g", gp[rows], xf[rows, off : off + n])
-    return gk.reshape(k_shape)
-
-
 def _dense_route(k_shape, groups: int) -> str:
-    """The loop a dense conv of this kernel runs: ``"outputs"``
-    (``_out_taps_fwd``) where ``T C_out <= C_in``, else ``"chunks"``
-    (``_tap_chunks``) where its chunk covers all ``T`` taps or its chunk
-    GEMM is deep (``K = C_in c >= 32``), else ``"slabs"``
+    """The loop a conv of this kernel runs: ``"outputs"`` (``_out_taps_fwd``)
+    where ``T C_out <= C_in``, else ``"chunks"`` (``_tap_chunks``) where one
+    chunk of all ``T`` taps is no larger than the output (``T C_in <=
+    C_out``) or one tap's GEMM is deep (``C_in >= 32``), else ``"slabs"``
     (``_plane_slabs``)."""
-    Ci, Co = k_shape[1], k_shape[0] // groups
-    T = int(np.prod(k_shape[2:]))
+    Ci, Co, T = k_shape[1], k_shape[0] // groups, int(np.prod(k_shape[2:]))
     if T * Co <= Ci:
         return "outputs"
-    c = min(T, max(1, Co // Ci))
-    return "chunks" if c == T or Ci * c >= 32 else "slabs"
+    return "chunks" if T * Ci <= Co or Ci >= 32 else "slabs"
 
 
 def _padded(x: np.ndarray, S, groups: int) -> np.ndarray:
     """``x`` padded by the kernel's halo, as ``[B, G, Ci, *padded]``."""
-    halos = [(s - 1) // 2 for s in S]
-    xp = _pad_spatial(x, [(h, h) for h in halos])
+    xp = _pad_spatial(x, [((s - 1) // 2,) * 2 for s in S])
     return xp.reshape((x.shape[0], groups, -1) + xp.shape[2:])
 
 
@@ -241,12 +179,9 @@ def _tap_chunks(x: np.ndarray, k_shape, groups: int):
     chunk's input windows as ``[B, G, Ci * (t1 - t0), vol]``, rows
     ``(ci, tap)``, matching ``k.reshape(G, Co, Ci, T)[..., t0:t1]``.
 
-    A chunk holds ``c = min(T, max(1, Co // Ci))`` taps: at ``c = 1`` the
-    stack is one window, and above it never holds more values than the
-    conv's output. The stack is one buffer, reused; a partial last chunk
-    gets its own. ``_dense_route`` sends a conv here only where ``c = T``
-    or the chunk GEMM is deep (``K = Ci c >= 32``); shallower chunk GEMMs
-    run faster as one all-tap GEMM on the plane slabs.
+    ``_dense_route`` sends a conv here in two forms: one chunk of all ``T``
+    taps where that stack is no larger than the output (``T Ci <= Co``),
+    else one tap per chunk (``Ci >= 32``). The stack is one buffer, reused.
     """
     B, D, S = x.shape[0], x.shape[2:], k_shape[2:]
     Ci, Co = k_shape[1], k_shape[0] // groups
@@ -255,17 +190,14 @@ def _tap_chunks(x: np.ndarray, k_shape, groups: int):
         xp[(Ellipsis,) + tuple(slice(o, o + n) for o, n in zip(off, D))]
         for off in np.ndindex(*S)
     ]
-    T, vol = len(wins), int(np.prod(D))
-    c = min(T, max(1, Co // Ci))
+    T = len(wins)
+    c = T if T * Ci <= Co else 1
+    buf = np.empty((B, groups, Ci, c) + tuple(D), dtype=x.dtype)
+    rows, stack = [buf[:, :, :, j] for j in range(c)], buf.reshape(B, groups, Ci * c, -1)
     for t0 in range(0, T, c):
-        n = min(c, T - t0)
-        if t0 == 0 or n < c:
-            buf = np.empty((B, groups, Ci, n) + tuple(D), dtype=x.dtype)
-            rows = [buf[:, :, :, j] for j in range(n)]
-            stack = buf.reshape(B, groups, Ci * n, vol)
-        for j in range(n):
+        for j in range(c):
             rows[j][...] = wins[t0 + j]
-        yield t0, t0 + n, stack
+        yield t0, t0 + c, stack
 
 
 def _plane_slabs(x: np.ndarray, k_shape, groups: int):
@@ -363,8 +295,6 @@ def _out_taps_bwd_kernel(g: np.ndarray, x: np.ndarray, k_shape, groups: int) -> 
 
 
 def _conv_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
-    if _is_depthwise(k.shape, groups):
-        return _depthwise_fwd(x, k)
     route = _dense_route(k.shape, groups)
     if route == "outputs":
         return _out_taps_fwd(x, k, groups)
@@ -373,14 +303,17 @@ def _conv_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
     kk = k.reshape(G, Co, k.shape[1], -1)
     out = np.empty((B, G, Co, int(np.prod(D))), dtype=np.result_type(x, k))
     if route == "slabs":
-        kk, out = kk.reshape(G, Co, -1), out.reshape((B, G, Co) + D)
+        # contiguous: the input gradient's flipped kernel would take the
+        # shallow GEMMs off BLAS
+        kk = np.ascontiguousarray(kk.reshape(G, Co, -1))
+        out = out.reshape((B, G, Co) + D)
         for items, z0, z1, stack in _plane_slabs(x, k.shape, G):
             out[items, :, :, z0:z1] = _slab_planes(np.matmul(kk, stack), D, k.shape[2:])
         return out.reshape((B, G * Co) + D)
     tmp = None
     for t0, t1, stack in _tap_chunks(x, k.shape, G):
         # one tap: a basic index, cheaper than a reshape in a small per-tap loop
-        kc = kk[..., t0] if t1 == t0 + 1 else kk[..., t0:t1].reshape(G, Co, -1)
+        kc = kk[..., t0] if t1 == t0 + 1 else kk.reshape(G, Co, -1)
         if t0 == 0:
             np.matmul(kc, stack, out=out)
         else:
@@ -390,8 +323,6 @@ def _conv_fwd(x: np.ndarray, k: np.ndarray, groups: int) -> np.ndarray:
 
 
 def _conv_bwd_kernel(g: np.ndarray, x: np.ndarray, k_shape, groups: int) -> np.ndarray:
-    if _is_depthwise(k_shape, groups):
-        return _depthwise_bwd_kernel(g, x, k_shape)
     route = _dense_route(k_shape, groups)
     if route == "outputs":
         return _out_taps_bwd_kernel(g, x, k_shape, groups)
@@ -407,28 +338,23 @@ def _conv_bwd_kernel(g: np.ndarray, x: np.ndarray, k_shape, groups: int) -> np.n
             _slab_planes(gp, D, k_shape[2:])[...] = gv[items, :, :, z0:z1]
             gk += (gp @ stack.swapaxes(-1, -2)).sum(axis=0)
         return gk.reshape(k_shape)
-    if min(T, Co // Ci) <= 1:  # one tap per chunk: each writes its block in place
-        buf = np.empty((T, G, Co, Ci), dtype)
-        for t, _, stack in _tap_chunks(x, k_shape, G):
-            if B == 1:
-                np.matmul(gr[0], stack[0].swapaxes(-1, -2), out=buf[t])
-            else:
-                np.sum(gr @ stack.swapaxes(-1, -2), axis=0, out=buf[t])
-        return np.moveaxis(buf, 0, -1).reshape(k_shape)
-    gk = np.empty((G, Co, Ci, T), dtype)
+    # each chunk writes its block in place into a chunk-major buffer: one
+    # block of all T taps, or one per tap
     for t0, t1, stack in _tap_chunks(x, k_shape, G):
-        gc = (gr @ stack.swapaxes(-1, -2)).sum(axis=0)
-        gk[..., t0:t1] = gc.reshape(G, Co, Ci, t1 - t0)
-    return gk.reshape(k_shape)
+        if t0 == 0:
+            buf = np.empty((T // (t1 - t0), G, Co, stack.shape[2]), dtype)
+        if B == 1:
+            np.matmul(gr[0], stack[0].swapaxes(-1, -2), out=buf[t0])
+        else:
+            np.sum(gr @ stack.swapaxes(-1, -2), axis=0, out=buf[t0])
+    return np.moveaxis(buf, 0, -1).reshape(k_shape)
 
 
 def _swap_flip_kernel(k: np.ndarray, groups: int) -> np.ndarray:
-    d = k.ndim - 2
-    G = groups
-    kg = k.reshape((G, k.shape[0] // G, k.shape[1]) + k.shape[2:])
-    kg = kg.swapaxes(1, 2)
-    kg = np.flip(kg, axis=tuple(range(3, 3 + d)))
-    return kg.reshape((G * k.shape[1], k.shape[0] // G) + k.shape[2:])
+    G, Co = groups, k.shape[0] // groups
+    kg = k.reshape((G, Co, k.shape[1]) + k.shape[2:]).swapaxes(1, 2)
+    kg = np.flip(kg, axis=tuple(range(3, k.ndim + 1)))
+    return kg.reshape((G * k.shape[1], Co) + k.shape[2:])
 
 
 def conv_nd(x: Tensor, kernel: Tensor, groups: int = 1) -> Tensor:

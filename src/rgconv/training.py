@@ -305,7 +305,10 @@ def load_checkpoint(path) -> tuple[Network, ExperimentConfig, dict]:
     if not os.path.exists(manifest_path):
         raise ConfigError(f"missing checkpoint manifest {manifest_path}")
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as e:  # malformed JSON, or bytes that are not text
+            raise DataError(f"manifest {manifest_path} is not valid JSON: {e}") from e
     if not isinstance(manifest, dict):
         raise ConfigError(f"manifest {manifest_path} must hold a JSON object")
     if "config" not in manifest:

@@ -224,8 +224,9 @@ def test_train_negative_seed_is_one_line_usage_error(tmp_path, capsys):
     assert err.startswith("error: seed must be") and err.count("\n") == 1
 
 
-def test_check_grad_passes_on_discovery_config(tmp_path, capsys):
-    p = write_cfg(tmp_path, task="square_to_rectangle")
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_check_grad_passes_on_discovery_config(tmp_path, capsys, precision):
+    p = write_cfg(tmp_path, task="square_to_rectangle", precision=precision)
     assert cli(["check-grad", "--config", p]) == 0
     out = capsys.readouterr().out
     assert "identity gradient class (2 elements): e,g2" in out
@@ -317,6 +318,20 @@ def test_analyze_manifest_not_an_object_is_usage_error(tmp_path, capsys, manifes
     assert cli(["analyze", "--checkpoint", run, "--out", rep]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: manifest ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "check-equiv"])
+@pytest.mark.parametrize("manifest", [b'{"config": {"ta', b"\xff\xfe{"],
+                         ids=["truncated", "not-utf8"])
+def test_unreadable_manifest_is_one_line_data_error(tmp_path, capsys, cmd, manifest):
+    run = os.path.join(str(tmp_path), "run")
+    os.makedirs(run)
+    open(os.path.join(run, "checkpoint.rgt1"), "wb").write(b"GARBAGE")
+    open(os.path.join(run, "checkpoint.json"), "wb").write(manifest)
+    extra = ["--out", os.path.join(str(tmp_path), "rep")] if cmd == "analyze" else []
+    assert cli([cmd, "--checkpoint", run] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: manifest ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -136,7 +136,8 @@ def test_grouped_conv_matches_per_group_reference():
 @pytest.mark.parametrize("S", [3, 5])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_depthwise_conv_matches_per_group_reference(d, padding, S, dtype):
-    # one input and one output channel per group: the broadcast path
+    # one input and one output channel per group, as in the separable
+    # layer's depthwise stage
     rng = np.random.default_rng(15)
     G = 3
     x = rng.normal(size=(2, G) + (5, 6, 5)[:d]).astype(dtype)
@@ -180,14 +181,16 @@ def test_conv3d_grouped_gradients():
     check_grad(lambda: sum_(mul(conv_nd(x, k, groups=2), w)), k)
 
 
-# (spatial, groups, C_in, C_out, S) per group, and the tap-chunk widths that
-# c = min(T, max(1, C_out // C_in)) gives
+# (spatial, groups, C_in, C_out, S) per group, and the tap-chunk widths
+# ``_tap_chunks`` gives: one chunk of all T taps where T C_in <= C_out, else
+# one tap per chunk. The shapes with no widths once had a partial last chunk;
+# their convs now take the plane slabs
 TAP_CHUNK_CASES = [
-    ((5, 6), 1, 3, 2, 3, [1] * 9),  # c = 1, the per-tap loop
-    ((5, 6), 2, 1, 12, 3, [9]),  # c = T: the lifting shape, one GEMM
-    ((4, 5, 3), 1, 2, 20, 3, [10, 10, 7]),  # a partial last chunk
-    ((4, 3, 5), 2, 1, 5, 3, [5] * 5 + [2]),
-    ((6, 5), 3, 2, 5, 5, [2] * 12 + [1]),
+    ((5, 6), 1, 3, 2, 3, [1] * 9),
+    ((5, 6), 2, 1, 12, 3, [9]),  # the lifting shape, one GEMM
+    ((4, 5, 3), 1, 2, 20, 3, []),
+    ((4, 3, 5), 2, 1, 5, 3, []),
+    ((6, 5), 3, 2, 5, 5, []),
 ]
 
 
@@ -197,8 +200,10 @@ def test_tap_chunks_match_per_group_reference(D, G, Ci, Co, S, widths, dtype):
     rng = np.random.default_rng(17)
     x = rng.normal(size=(2, G * Ci) + D).astype(dtype)
     k = rng.normal(size=(G * Co, Ci) + (S,) * len(D)).astype(dtype)
-    chunks = _tap_chunks(x, k.shape, G)
-    assert [t1 - t0 for t0, t1, _ in chunks] == widths
+    if widths:
+        assert [t1 - t0 for t0, t1, _ in _tap_chunks(x, k.shape, G)] == widths
+    else:
+        assert _dense_route(k.shape, G) == "slabs"
     out = conv_nd(tensor(x), tensor(k), groups=G)
     assert out.shape == (2, G * Co) + D and out.dtype == dtype
     tol = dict(rtol=1e-5, atol=1e-4) if dtype == np.float32 else dict(atol=1e-12)
@@ -274,8 +279,8 @@ def test_per_tap_kernel_gradient_workspace(B, G):
 
 # (route, spatial, groups, C_in, C_out, S) per group, a CACHE_BYTES at f64
 # (halved at f32) that splits these small shapes, at batch 3, into several
-# tiles, and the route's blocks: (items, planes) per slab tile, channel rows
-# per depthwise forward block
+# tiles, and the route's blocks: (items, planes) per slab tile. A depthwise
+# conv (one input and one output channel per group) is named so in its id
 ROUTE_CASES = [
     ("slabs", (21, 4), 1, 2, 3, 3, 3500, [(3, 2)] * 10 + [(3, 1)]),  # partial planes
     ("slabs", (21, 4), 1, 2, 3, 3, 1200, [(2, 1)] * 21 + [(1, 1)] * 21),  # items
@@ -283,10 +288,14 @@ ROUTE_CASES = [
     ("outputs", (5, 6), 2, 9, 1, 3, 2000, None),
     ("outputs", (3, 3, 3), 1, 28, 1, 3, 2000, None),
     ("outputs", (5, 6), 1, 3, 2, 1, 2000, None),  # one tap
-    ("depthwise", (5, 6), 5, 1, 1, 3, 9000, [2, 2, 1]),
-    ("depthwise", (4, 3, 5), 5, 1, 1, 3, 9000, [1] * 5),
+    ("slabs", (5, 10), 5, 1, 1, 3, 9000, [(2, 1)] * 5 + [(1, 1)] * 5),  # partial items
+    ("slabs", (4, 3, 5), 5, 1, 1, 3, 9000, [(1, 1)] * 12),
+    ("slabs", (4, 3, 5), 5, 1, 1, 3, 210000, [(3, 3), (3, 1)]),  # partial planes
 ]
-ROUTE_IDS = [f"{c[0]}-{len(c[1])}d-S{c[5]}-{c[6]}" for c in ROUTE_CASES]
+ROUTE_IDS = [
+    f"{'depthwise' if c[3] == c[4] == 1 else c[0]}-{len(c[1])}d-S{c[5]}-{c[6]}"
+    for c in ROUTE_CASES
+]
 
 
 def route_conv(monkeypatch, case, dtype):
@@ -295,10 +304,7 @@ def route_conv(monkeypatch, case, dtype):
     rng = np.random.default_rng(19)
     x = rng.normal(size=(3, G * Ci) + D).astype(dtype)
     k = rng.normal(size=(G * Co, Ci) + (S,) * len(D)).astype(dtype)
-    if route == "depthwise":
-        assert Ci == 1 and Co == 1
-    else:
-        assert _dense_route(k.shape, G) == route
+    assert _dense_route(k.shape, G) == route
     return x, k
 
 
@@ -306,23 +312,26 @@ def route_conv(monkeypatch, case, dtype):
 @circular_only
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_cache_sized_routes_match_per_group_reference(monkeypatch, case, padding, dtype):
+    # the forward and both gradients; the input gradient is the conv of g
+    # by the swapped, flipped kernel
     route, D, G, Ci, Co, S, budget, blocks = case
     x, k = route_conv(monkeypatch, case, dtype)
-    seen = []
     if route == "slabs":
         seen = [(b.stop - b.start, z1 - z0) for b, z0, z1, _ in _plane_slabs(x, k.shape, G)]
-    elif route == "depthwise":
-        real = convops._row_blocks
-        monkeypatch.setattr(convops, "_row_blocks", lambda *a: seen.append(real(*a)) or seen[-1])
-    out = conv_nd(tensor(x), tensor(k), groups=G)
-    if route == "depthwise":
-        seen = [s.stop - s.start for s in seen[0]]
-    assert seen == (blocks or [])
+        assert seen == blocks
+    xt, kt = parameter(x), parameter(k)
+    out = conv_nd(xt, kt, groups=G)
     assert out.shape == (3, G * Co) + D and out.dtype == dtype
+    g = np.random.default_rng(20).normal(size=out.shape).astype(dtype)
+    backward(sum_(mul(out, tensor(g))), params=[xt, kt])
+    assert xt.grad.dtype == kt.grad.dtype == dtype
     tol = dict(rtol=1e-5, atol=1e-4) if dtype == np.float32 else dict(atol=1e-12)
-    for g in range(G):
-        ref = conv_ref(x[:, g * Ci : (g + 1) * Ci], k[g * Co : (g + 1) * Co])
-        assert np.allclose(out.data[:, g * Co : (g + 1) * Co], ref, **tol)
+    for gi in range(G):
+        i, o = slice(gi * Ci, (gi + 1) * Ci), slice(gi * Co, (gi + 1) * Co)
+        assert np.allclose(out.data[:, o], conv_ref(x[:, i], k[o]), **tol)
+        kf = np.flip(k[o].swapaxes(0, 1), axis=tuple(range(2, k.ndim)))
+        assert np.allclose(xt.grad[:, i], conv_ref(g[:, o], kf), **tol)
+    assert np.allclose(kt.grad, kernel_grad_ref(g, x, k.shape, G), **tol)
 
 
 @pytest.mark.parametrize("case", ROUTE_CASES, ids=ROUTE_IDS)
@@ -348,28 +357,31 @@ def test_cache_sized_route_gradients(monkeypatch, case, padding):
     ("O48 hidden layer", (1, 192, 11, 11, 11), (192, 192, 3, 3, 3), 1,
      np.float64, ["chunks"] * 3),
     ("separable spatial stage", (4, 96, 8, 8, 8), (96, 1, 3, 3, 3), 96,
-     np.float32, ["depthwise"] * 3),
-    # shallow chunk GEMMs (K = C_in c < 32) take the slabs, whatever the size
+     np.float32, ["slabs"] * 3),
+    # neither one chunk of all taps nor a deep per-tap GEMM: the slabs
     ("conv-baseline trunk", (4, 4, 8, 8, 8), (4, 4, 3, 3, 3), 1,
      np.float32, ["slabs"] * 3),
     ("conv-baseline lifting conv", (4, 9, 8, 8, 8), (4, 9, 3, 3, 3), 1,
      np.float32, ["slabs"] * 3),
-    # a chunk over all T taps keeps the tap loop; so does a deep chunk GEMM
+    # one chunk of all T taps (T C_in <= C_out) keeps the tap loop; so does
+    # a deep per-tap GEMM (C_in >= 32)
     ("O48 lifting conv", (1, 1, 11, 11, 11), (192, 1, 3, 3, 3), 1,
      np.float64, ["chunks", "outputs", "chunks"]),
+    # neither (T C_in = 243 > 96, C_in = 9): the slabs, but its input
+    # gradient (pulled only here: a net's input is data) has C_in = 96
     ("O24 lifting conv, K = 90", (4, 9, 8, 8, 8), (96, 9, 3, 3, 3), 1,
-     np.float32, ["chunks"] * 3),
+     np.float32, ["slabs", "chunks", "slabs"]),
     ("C4 hidden layer, K = 32", (1, 32, 15, 15), (32, 32, 3, 3), 1,
      np.float64, ["chunks"] * 3),
+    ("C4 lifting conv", (1, 1, 15, 15), (32, 1, 3, 3), 1,
+     np.float64, ["chunks", "outputs", "chunks"]),
 ])
 def test_dense_conv_route(monkeypatch, case, shape, kshape, groups, dtype, routes):
     # forward, input gradient and kernel gradient, in the order they run;
     # the input gradient is a forward conv by the swapped, flipped kernel
     calls = []
     for name, route in [("_plane_slabs", "slabs"), ("_tap_chunks", "chunks"),
-                        ("_out_taps_fwd", "outputs"), ("_out_taps_bwd_kernel", "outputs"),
-                        ("_depthwise_fwd", "depthwise"),
-                        ("_depthwise_bwd_kernel", "depthwise")]:
+                        ("_out_taps_fwd", "outputs"), ("_out_taps_bwd_kernel", "outputs")]:
         def spy(*a, real=getattr(convops, name), route=route):
             calls.append(route)
             return real(*a)
