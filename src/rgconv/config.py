@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-__all__ = ["ExperimentConfig", "DISCOVERY_TASKS", "SUPERRES_TASKS", "ALL_TASKS"]
+__all__ = ["ExperimentConfig", "DISCOVERY_TASKS", "SUPERRES_TASKS", "ALL_TASKS", "LAYER_KINDS"]
 
 DISCOVERY_TASKS = (
     "square_to_square",
@@ -26,7 +26,7 @@ DISCOVERY_TASKS = (
 SUPERRES_TASKS = ("flow_isotropic", "flow_channel")
 ALL_TASKS = DISCOVERY_TASKS + SUPERRES_TASKS
 
-_LAYER_KINDS = ("conv", "equiv", "relaxed_equiv")
+LAYER_KINDS = ("conv", "equiv", "relaxed_equiv")
 _OPTIMIZERS = ("sgd", "adam")
 _PRECISIONS = ("f64", "f32")
 _F32_MAX = 3.4028234663852886e38  # the largest finite float32
@@ -60,7 +60,7 @@ class ExperimentConfig:
     grid_size: grid extent for discovery tasks (2D image size / 3D voxels).
     delta: perovskite B-site displacement in voxels.
     n_samples: number of flow samples to generate.
-    flow_size: full-resolution flow extent (must be divisible by 4).
+    flow_size: full-resolution flow extent (positive, divisible by 4).
     out_dir: where to save the checkpoint and reports ("" saves nothing).
     data_path: optional RGT1 dataset to load instead of generating.
     match_params: conv baseline only; target parameter count to match by
@@ -96,8 +96,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.task not in ALL_TASKS:
             raise ConfigError(f"unknown task {self.task!r}; choose from {ALL_TASKS}")
-        if self.layer_kind not in _LAYER_KINDS:
-            raise ConfigError(f"layer_kind must be one of {_LAYER_KINDS}")
+        if self.layer_kind not in LAYER_KINDS:
+            raise ConfigError(f"layer_kind must be one of {LAYER_KINDS}")
         if self.kernel_size % 2 == 0 or self.kernel_size < 1:
             raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
         if self.banks < 1:
@@ -129,9 +129,9 @@ class ExperimentConfig:
                 f"kernel_size {self.kernel_size} exceeds grid_size {self.grid_size}"
             )
         if self.task in SUPERRES_TASKS:
-            if self.flow_size % 4 != 0:
+            if self.flow_size <= 0 or self.flow_size % 4 != 0:
                 raise ConfigError(
-                    f"flow_size must be divisible by 4, got {self.flow_size}"
+                    f"flow_size must be positive and divisible by 4, got {self.flow_size}"
                 )
             if self.n_samples < 1:
                 raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")

@@ -70,7 +70,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .autodiff import Tensor, flip, record, recording, reshape, transpose
+from .autodiff import Tensor, flip, record, recording, transpose
 from .errors import ShapeError
 
 # Bytes a conv loop's tile should keep its working set within: half the
@@ -716,9 +716,9 @@ def take_last(x: Tensor, idx, inv) -> Tensor:
 
     ``x`` has shape ``[..., K]`` and ``idx`` is ``[H, K]`` with permutation
     rows, and ``inv`` holds their inverses; the result is ``[H, ..., K]``
-    with ``out[h, ..., t] = x[..., idx[h, t]]``. This one primitive covers
-    kernel rotation (``idx = pi``), group-axis permutation (``idx = sigma``)
-    and both at once (``transform_group_kernel``).
+    with ``out[h, ..., t] = x[..., idx[h, t]]``: kernel rotation
+    (``idx = pi``) or group-axis permutation (``idx = sigma``) for the
+    separable and upsampling layers.
     """
     idx, inv = _as_index(idx), _as_index(inv)
     if idx.shape[1] != x.shape[-1]:
@@ -736,19 +736,38 @@ def take_last(x: Tensor, idx, inv) -> Tensor:
     return record("take_last", np.ascontiguousarray(out), (x,), pull)
 
 
-def transform_group_kernel(x: Tensor, cache) -> Tensor:
-    """Joint gather of the trailing ``[..., H', K]`` axes of a group kernel.
+def transform_group_kernel(kernels: Tensor, w: Tensor, idx, inv) -> Tensor:
+    """A group layer's conv kernel: each bank transformed per group element
+    and the banks summed with the relaxed weights.
 
-    ``out[h, ..., j, t] = x[..., sigma[h, j], pi[h, t]]`` with the index
-    tables of the :class:`GridActionCache` ``cache``: row ``h`` holds the
-    kernel as seen by output group element ``h``. This is ``take_last`` over
-    the flattened ``(H', K)`` axes, by ``cache.kernel_gather``.
+    ``kernels`` is ``[L, C_out, C, K]``, ``w`` is ``[L, H]`` and ``idx`` is
+    ``[H, K]`` with permutation rows (``inv`` their inverses); the result is
+    ``[C_out, H, C, K]`` with
+    ``out[co, h, c, t] = sum_l w[l, h] kernels[l, co, c, idx[h, t]]``. Rows
+    ``(co, h)`` make a conv with it write ``[B, C_out, H, *D]``. Its pull
+    keeps the operands and index tables, never the ``H`` times larger result.
     """
-    Hp, K = x.shape[-2:]
-    if (Hp, K) != (cache.sigma.shape[1], cache.pi.shape[1]):
-        raise ShapeError(
-            f"kernel trailing axes {x.shape[-2:]} do not match index tables"
-        )
-    idx, inv = cache.kernel_gather
-    flat = take_last(reshape(x, x.shape[:-2] + (Hp * K,)), idx, inv)
-    return reshape(flat, (len(idx),) + x.shape)
+    idx, inv = _as_index(idx), _as_index(inv)
+    L, Co, C, K = kernels.shape
+    H = len(idx)
+    if idx.shape[1] != K or w.shape != (L, H):
+        raise ShapeError(f"kernels {kernels.shape} and w {w.shape} do not fit {idx.shape}")
+    kd, wd, want_w = kernels.data, w.data, _wants_grad(w)
+    flat = kd.reshape(L, Co, C * K)
+    # cols[h, c K + t] = c K + idx[h, t]: one take per bank gathers its
+    # transformed rows straight into (co, h) order
+    cols = (np.arange(0, C * K, K)[:, None] + idx[:, None, :]).reshape(H, C * K)
+    out = np.take(flat[0], cols, axis=1)
+    out *= wd[0, :, None]
+    for l in range(1, L):
+        out += np.take(flat[l], cols, axis=1) * wd[l, :, None]
+
+    def pull(g):
+        # rows are permutations, so the adjoint is the inverse gather; one
+        # gather serves both operands: gi[h, s, co, c] = g[co, h, c, inv[h, s]]
+        gi = g.reshape(Co, H, C, K)[:, np.arange(H)[:, None], :, inv].reshape(H, -1)
+        gk = (wd @ gi).reshape(L, K, Co, C).transpose(0, 2, 3, 1)
+        gw = np.moveaxis(kd, 3, 1).reshape(L, -1) @ gi.T if want_w else None
+        return np.ascontiguousarray(gk), gw
+
+    return record("transform_group_kernel", out.reshape(Co, H, C, K), (kernels, w), pull)

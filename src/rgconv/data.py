@@ -282,8 +282,8 @@ def _check_flow_args(size, anisotropy: str) -> int:
     if len(size) != 3 or len(set(size)) != 1:
         raise ConfigError(f"size must be (D, D, D), got {size}")
     D = int(size[0])
-    if D % 4 != 0:
-        raise ConfigError(f"grid extent must be divisible by 4, got {D}")
+    if D < 4 or D % 4 != 0:
+        raise ConfigError(f"grid extent must be positive and divisible by 4, got {D}")
     return D
 
 

@@ -114,10 +114,6 @@ class GridActionCache:
     pi_inv: np.ndarray
     sigma_inv: np.ndarray
 
-    @property
-    def volume(self) -> int:
-        return self.size ** self.group.dim
-
     @cached_property
     def kernel_gather(self) -> tuple[np.ndarray, np.ndarray]:
         """Joint permutations of a group kernel's flattened ``(H', K)`` axes:

@@ -7,19 +7,16 @@ drop the group axis. Every relaxed group layer owns
 - a relaxed weight tensor ``w`` of shape ``[L, |H|]``.
 
 Output element ``h`` mixes the banks with its own coefficients ``w[l, h]``:
-``y_h = sum_l w[l, h] conv(x, pi_h K_l)``. The convolution is linear, so the
-lifting and separable layers fold ``w`` into their small transformed kernels
-and convolve once. Their kernel rows are ordered ``(co, h)``, so the
+``y_h = sum_l w[l, h] conv(x, pi_h K_l)``. The convolution is linear, so
+every group layer folds ``w`` into its transformed kernel and convolves
+once. The lifting and full layers build that kernel in one tape op,
+:func:`~rgconv.convops.transform_group_kernel`; the separable layer scales
+its mixer rows by ``w``. Kernel rows are ordered ``(co, h)``, so the
 convolution writes ``[B, C_out, |H|, *D]`` directly and no activation is
-transposed. The full layer keeps its bank sum on the activation: its
-transformed kernel has ``|H|`` times the entries of its input feature map at
-the sizes used here (7.6 MiB against 2 MiB at O48), so a folded copy of it
-would cost more memory than the sum saves. Its pooled form
-(``pool=True``, the discovery net's last layer) also averages over ``h``,
-and that mean folds ``w`` and ``1/|H|`` into one kernel with ``|H| L`` times
-fewer output channels than the transformed one, so there the sum moves onto
-the kernel. The upsampling layer's pooled form (the super-resolution net's
-last stage) takes its ReLU and group mean inside the stuffed conv.
+transposed or summed. The full layer's pooled form (``pool=True``, the
+discovery net's last layer) takes the group mean of that kernel. The
+upsampling layer's pooled form (the super-resolution net's last stage)
+takes its ReLU and group mean inside the stuffed conv.
 
 With ``relaxed=False`` the weights are frozen at exactly 1 and the layer is
 an ordinary group convolution: summing the banks with equal unit weights is
@@ -35,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, matmul, mean_, mul, relu, reshape, sum_, transpose
+from .autodiff import Tensor, matmul, mean_, mul, relu, reshape, transpose
 from .convops import (
     conv_nd,
     conv_transpose_nd,
@@ -139,11 +136,6 @@ class _GroupLayer(_Layer):
                 f"expected [B, {Ci}, {H}, *spatial] group feature, got {x.shape}"
             )
 
-    def _w_rows(self, trailing: int) -> Tensor:
-        """``w`` as ``[|H|, L, 1, ...]``: row ``(h, l)`` holds ``w[l, h]``."""
-        H, L = self.group.order, self.banks
-        return reshape(transpose(self.w, (1, 0)), (H, L) + (1,) * trailing)
-
 
 class LiftingLayer(_GroupLayer):
     """Grid input to group feature map: one rotated correlation per element.
@@ -160,16 +152,13 @@ class LiftingLayer(_GroupLayer):
         return [("kernels", shape, self.in_channels * K)]
 
     def forward(self, x: Tensor) -> Tensor:
-        d = self.dim
         H, Co, Ci = self.group.order, self.out_channels, self.in_channels
-        if x.ndim != d + 2 or x.shape[1] != Ci:
+        if x.ndim != self.dim + 2 or x.shape[1] != Ci:
             raise ShapeError(f"expected [B, {Ci}, *spatial] grid input, got {x.shape}")
-        S = (self.kernel_size,) * d
+        S = (self.kernel_size,) * self.dim
 
-        kt = take_last(self.kernels, self.cache.pi, self.cache.pi_inv)  # [H, L, Co, Ci, K]
-        kt = sum_(mul(kt, self._w_rows(3)), axes=(1,))  # bank sum on the kernel
-        kt = reshape(transpose(kt, (1, 0, 2, 3)), (Co * H, Ci) + S)
-        y = conv_nd(x, kt)
+        kt = transform_group_kernel(self.kernels, self.w, self.cache.pi, self.cache.pi_inv)
+        y = conv_nd(x, reshape(kt, (Co * H, Ci) + S))
         return reshape(y, (x.shape[0], Co, H) + x.shape[2:])
 
     __call__ = forward
@@ -180,15 +169,15 @@ class RelaxedGConvLayer(_GroupLayer):
 
     Kernels have shape ``[L, C_out, C_in, |H|, S^d]``: a spatial stencil per
     input group element. Output element ``h`` correlates the input against
-    the kernel transformed jointly over its group axis (``sigma_h``) and its
-    spatial support (``pi_h``), and the layer sums the ``L`` banks with
-    ``w[:, h]`` on the ``[B, |H| L C_out, *D]`` conv output.
+    the kernels transformed jointly over their group axis (``sigma_h``) and
+    spatial support (``pi_h``) and summed over the ``L`` banks with
+    ``w[:, h]``, all in the one kernel ``[C_out |H|, C_in |H|, S^d]`` that
+    ``transform_group_kernel`` builds.
 
     With ``pool=True`` the layer returns the group mean of that output,
-    ``[B, C_out, *D]``. The mean and the bank sum are linear in the kernel,
-    so they fold into one kernel ``[C_out, C_in |H|, S^d]``: the row of
-    ``w^T / |H|`` times the transformed kernels, one ``matmul``. One conv
-    with ``C_out`` outputs replaces one with ``|H| L C_out``.
+    ``[B, C_out, *D]``. The mean is linear in the kernel, so it is taken on
+    the kernel: one conv with ``C_out`` outputs replaces one with
+    ``|H| C_out``.
     """
 
     _relaxed_default = True
@@ -204,21 +193,17 @@ class RelaxedGConvLayer(_GroupLayer):
 
     def forward(self, x: Tensor) -> Tensor:
         self._check_feature(x)
-        d = self.dim
         H, L, Co, Ci = self.group.order, self.banks, self.out_channels, self.in_channels
         B, D = x.shape[0], x.shape[3:]
-        S = (self.kernel_size,) * d
+        S = (self.kernel_size,) * self.dim
         xf = reshape(x, (B, Ci * H) + D)
 
-        kt = transform_group_kernel(self.kernels, self.cache)  # [H, L, Co, Ci, H', K]
+        kernels = reshape(self.kernels, (L, Co, Ci, -1))  # [L, Co, Ci, H' K]
+        kt = transform_group_kernel(kernels, self.w, *self.cache.kernel_gather)
         if self.pool:
-            row = reshape(transpose(self.w, (1, 0)), (1, H * L)) * (1.0 / H)
-            kt = matmul(row, reshape(kt, (H * L, -1)))
-            return conv_nd(xf, reshape(kt, (Co, Ci * H) + S))
-        kt = reshape(kt, (H * L * Co, Ci * H) + S)
-        y = conv_nd(xf, kt)
-        y = sum_(mul(reshape(y, (B, H, L, Co) + D), self._w_rows(1 + d)), axes=(2,))
-        return transpose(y, (0, 2, 1) + tuple(range(3, 3 + d)))
+            return conv_nd(xf, reshape(mean_(kt, axes=(1,)), (Co, Ci * H) + S))
+        y = conv_nd(xf, reshape(kt, (Co * H, Ci * H) + S))
+        return reshape(y, (B, Co, H) + D)
 
     __call__ = forward
 
@@ -251,7 +236,7 @@ class SeparableRelaxedGConvLayer(_GroupLayer):
         # stage 1: group/channel mixing; row (co, h, l) is psi_o[l, co]
         # permuted by sigma_h and scaled by w[l, h]
         mixer = take_last(self.psi_o, self.cache.sigma, self.cache.sigma_inv)
-        mixer = mul(mixer, self._w_rows(3))  # [H, L, Co, Ci, H']
+        mixer = mul(mixer, reshape(transpose(self.w, (1, 0)), (H, L, 1, 1, 1)))
         mixer = reshape(transpose(mixer, (2, 0, 1, 3, 4)), (Co * H * L, Ci * H))
         s = matmul(mixer, reshape(x, (B, Ci * H, int(np.prod(D)))))
         s = reshape(s, (B, Co * H * L) + D)

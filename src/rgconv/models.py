@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, released_on_error, relu
+from .config import LAYER_KINDS
 from .errors import ConfigError
 from .groups import FiniteGroup
 from .layers import (
@@ -32,8 +33,6 @@ __all__ = [
     "param_count",
     "matched_conv_channels",
 ]
-
-LAYER_KINDS = ("conv", "equiv", "relaxed_equiv")
 
 # attribute scan order for stable checkpoint names
 _PARAM_ATTRS = ("kernels", "kernel", "psi_o", "psi_t", "w")

@@ -216,6 +216,16 @@ def test_gen_negative_seed_is_one_line_usage_error(tmp_path, capsys, argv):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("size", ["-4", "6"])
+def test_gen_bad_flow_size_is_one_line_usage_error(tmp_path, capsys, size):
+    out = os.path.join(str(tmp_path), "data.rgt1")
+    argv = ["gen", "--task", "flow_channel", "--size", size, "--samples", "1"]
+    assert cli(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: grid extent must be positive and divisible by 4, got {size}\n"
+    assert not os.path.exists(out)
+
+
 def test_train_negative_seed_is_one_line_usage_error(tmp_path, capsys):
     p = write_cfg(tmp_path, task="flow_channel", group="octahedral_24",
                   flow_size=16, n_samples=2, epochs=1, seed=-1)

@@ -869,20 +869,39 @@ def test_take_last_semantics_and_grad():
 
 
 def test_transform_group_kernel_semantics_and_grad():
+    # out[co, h, c, t] = sum_l w[l, h] k[l, co, c, idx[h, t]], for the
+    # lifting layer's pi and the full layer's joint (sigma, pi) gather
     G = build_group("cyclic_2d(4)")
     cache = G.grid_cache(3)
     rng = np.random.default_rng(10)
-    k = parameter(rng.normal(size=(2, 3, 4, 9)))  # [Co, Ci, H, K]
-    out = transform_group_kernel(k, cache)
-    assert out.shape == (4, 2, 3, 4, 9)
-    for h in range(4):
-        for j in range(4):
-            for t in range(9):
-                assert np.allclose(
-                    out.data[h, :, :, j, t],
-                    k.data[:, :, cache.sigma[h, j], cache.pi[h, t]],
-                )
-    w = tensor(rng.normal(size=(4, 2, 3, 4, 9)))
-    check_grad(
-        lambda: sum_(mul(transform_group_kernel(k, cache), w)), k
-    )
+    for idx, inv in ((cache.pi, cache.pi_inv), cache.kernel_gather):
+        K = idx.shape[1]
+        k = parameter(rng.normal(size=(2, 3, 2, K)))  # [L, Co, C, K]
+        w = parameter(rng.normal(size=(2, 4)))  # [L, H]
+        out = transform_group_kernel(k, w, idx, inv)
+        assert out.shape == (3, 4, 2, K)
+        for h in range(4):
+            for t in range(K):
+                want = np.einsum("l,loc->oc", w.data[:, h], k.data[..., idx[h, t]])
+                assert np.allclose(out.data[:, h, :, t], want, rtol=1e-14, atol=1e-15)
+        r = tensor(rng.normal(size=out.shape))
+        for p in (k, w):
+            check_grad(lambda: sum_(mul(transform_group_kernel(k, w, idx, inv), r)), p)
+    with pytest.raises(ShapeError):
+        transform_group_kernel(k, tensor(np.ones((2, 3))), idx, inv)
+
+
+def test_transform_group_kernel_pull_keeps_no_result_sized_array():
+    # the result is H times the kernels; the pull reads only the operands
+    # and the index tables, so backward does not keep the result alive
+    G = build_group("octahedral_48")
+    cache = G.grid_cache(3)
+    idx, inv = cache.kernel_gather
+    rng = np.random.default_rng(11)
+    k = parameter(rng.normal(size=(1, 2, 2, idx.shape[1])))
+    w = parameter(np.ones((1, 48)))
+    out = transform_group_kernel(k, w, idx, inv)
+    cells = [c.cell_contents for c in out.node.pull.__closure__]
+    arrays = [a for a in cells if isinstance(a, np.ndarray)]
+    assert arrays and all(a.size < out.size for a in arrays)
+    assert not any(isinstance(a, Tensor) for a in cells)

@@ -113,7 +113,7 @@ def test_act_on_offset_is_a_homomorphism():
 def test_action_cache_permutations_compose(kind, size):
     G = build_group(kind)
     cache = build_action_cache(G, size)
-    n, vol = G.order, cache.volume
+    n, vol = G.order, cache.size ** G.dim
     assert np.array_equal(cache.pi[0], np.arange(vol))
     assert np.array_equal(cache.sigma[0], np.arange(n))
     for g in range(n):

@@ -15,7 +15,7 @@ from rgconv.autodiff import (
     zero_grads,
 )
 from rgconv import convops
-from rgconv.convops import conv_transpose_nd
+from rgconv.convops import conv_nd, conv_transpose_nd
 from rgconv.errors import ConfigError, ShapeError
 from rgconv.groups import build_group, transform_grid
 from rgconv.layers import (
@@ -230,6 +230,78 @@ def test_pooled_gconv_equals_group_pool_of_the_layer(G, spatial, banks):
         results.append([y.data] + [p.grad for p in ps])
     for want, got in zip(*results):
         assert want.shape == got.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def banked_definition(layer, x, kernels, w):
+    """``y_h = sum_l w[l, h] conv(x, pi_h K_l)``, one bank and one group
+    element at a time, with each transformed kernel gathered by plain
+    indexing (jointly over the input group axis for the full layer); the
+    group mean of it for a pooled layer."""
+    cache, H, d = layer.cache, layer.group.order, layer.dim
+    B, D = x.shape[0], x.shape[-d:]
+    lifting = isinstance(layer, LiftingLayer)
+    xf = tensor(x if lifting else x.reshape((B, -1) + D))
+    y = np.zeros((B, layer.out_channels, H) + D)
+    for l, k in enumerate(kernels):
+        for h in range(H):
+            kh = k[..., cache.pi[h]] if lifting else k[:, :, cache.sigma[h]][..., cache.pi[h]]
+            kh = kh.reshape((layer.out_channels, -1) + (layer.kernel_size,) * d)
+            with no_grad():
+                y[:, :, h] += w[l, h] * conv_nd(xf, tensor(kh)).data
+    return y.mean(axis=2) if getattr(layer, "pool", False) else y
+
+
+def basis_grad(f, a, r):
+    """``d sum(f(a) r) / da`` for ``f`` linear in ``a``: exact, one basis
+    vector at a time."""
+    g = np.zeros_like(a)
+    for i in np.ndindex(a.shape):
+        e = np.zeros_like(a)
+        e[i] = 1.0
+        g[i] = np.sum(f(e) * r)
+    return g
+
+
+@pytest.mark.parametrize("kind,ops", [
+    ("lifting", ["transform_group_kernel", "reshape", "conv_nd", "reshape"]),
+    ("full", ["reshape", "reshape", "transform_group_kernel", "reshape", "conv_nd",
+              "reshape"]),
+    ("pooled", ["reshape", "reshape", "transform_group_kernel", "mean", "reshape",
+                "conv_nd"]),
+], ids=["lifting", "full", "pooled"])
+def test_group_layers_match_the_banked_definition(kind, ops):
+    # two banks and non-unit weights: the layer folds w and the bank sum
+    # into one kernel and runs one conv; forward and every gradient match
+    # the definition bank by bank
+    rng = np.random.default_rng(30)
+    if kind == "lifting":
+        layer = LiftingLayer(C4, 2, 2, banks=2, relaxed=True)
+        x = rng.normal(size=(2, 2, 4, 5))
+    else:
+        layer = RelaxedGConvLayer(C4, 2, 2, banks=2, pool=kind == "pooled")
+        x = rng.normal(size=(2, 2, 4, 4, 5))
+    layer.init(np.random.default_rng(31))
+    layer.w.data[...] = rng.uniform(0.5, 1.5, size=layer.w.shape)
+    k, w = layer.kernels.data.copy(), layer.w.data.copy()
+    xt = Tensor(x.copy(), requires_grad=True)
+    ps = [layer.kernels, layer.w, xt]
+    zero_grads(ps)
+    y = layer(xt)
+    assert [node.op for node in y.node.tape.nodes] == ops
+    r = rng.normal(size=y.shape)
+    backward(sum_(mul(y, tensor(r))), params=ps)
+    linear_in = [
+        lambda e: banked_definition(layer, x, e, w),
+        lambda e: banked_definition(layer, x, k, e),
+        lambda e: banked_definition(layer, e, k, w),
+    ]
+    want = banked_definition(layer, x, k, w)
+    pairs = [(y.data, want)] + [
+        (p.grad, basis_grad(f, p.data, r)) for p, f in zip(ps, linear_in)
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 

@@ -79,6 +79,11 @@ def test_config_rejects_bad_values():
     # a loaded dataset's grid comes from the file, so the conv checks it
     cfg(task="flow_isotropic", group="octahedral_24", flow_size=16, kernel_size=5,
         data_path="flow.rgt1")
+    # but a non-positive extent is named as such, with a loaded dataset too
+    for size, path in ((0, ""), (-4, ""), (-4, "flow.rgt1")):
+        with pytest.raises(ConfigError, match="flow_size must be positive"):
+            cfg(task="flow_isotropic", group="octahedral_24", flow_size=size,
+                data_path=path)
 
 
 def test_config_json_round_trip(tmp_path):
